@@ -2,9 +2,9 @@
 independent heralded single photons.
 
 Pipeline: build an SPDC joint spectral amplitude, filter it, Schmidt
-decompose via SVD, propagate the heralded photon through dispersive media,
-evaluate the two-photon coincidence dip versus delay, and audit multi-path
-networks for dispersion-cancellation conditions.
+decompose via a randomized SVD, propagate the heralded photon through
+dispersive media, evaluate the two-photon coincidence dip versus delay, and
+audit multi-path networks for dispersion-cancellation conditions.
 """
 
 from .dispersion import DispersiveElement, apply_dispersion, broadened_duration, gvd_phase

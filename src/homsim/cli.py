@@ -74,6 +74,8 @@ def run_command(scenario_file: str | None, preset_name: str | None, out_dir, thr
         # Remaining simulation errors stem from inconsistent configuration.
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    for message in result.warnings:
+        click.echo(f"warning: {message}", err=True)
     for name in result.files:
         click.echo(str(result.out_dir / name))
 

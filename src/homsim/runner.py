@@ -7,7 +7,7 @@ the manifest back to ``run`` reproduces those files byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .network import (
 )
 from .scenario import NetworkConfig, Scenario
 from .schmidt import (
+    TRUNCATION_WARNING_MASS,
     herald,
     postulate_pure_state,
     purity,
@@ -55,6 +56,8 @@ class RunResult:
     scenario: Scenario
     out_dir: Path
     files: list[str]
+    # Numerical-health warnings; the CLI prints each one as a stderr line.
+    warnings: list[str] = field(default_factory=list)
 
 
 def _pump(sc: Scenario) -> PumpSpectrum:
@@ -132,11 +135,18 @@ def _scan_config(sc: Scenario, delta_beta_l: float) -> ScanConfig:
     return default_scan_config(delta_beta_l)
 
 
-def _run_two_photon_scan(sc: Scenario, out: Path, base: str, threads: int) -> list[str]:
+def _run_two_photon_scan(
+    sc: Scenario, out: Path, base: str, threads: int, warnings: list[str]
+) -> list[str]:
     grid = _grid(sc)
     jsa = build_jsa(_pump(sc), _phase_matching(sc), grid, grid)
     jsa = apply_filters(jsa, _filter(sc.filters.signal), _filter(sc.filters.idler))
     decomp = schmidt_decompose(jsa, **_truncation_kwargs(sc))
+    if decomp.truncation_warning:
+        warnings.append(
+            f"Schmidt truncation discards {decomp.tail_mass:.3g} of the eigenvalue "
+            f"mass (more than {TRUNCATION_WARNING_MASS:g})"
+        )
     state = _heralded_state(sc, decomp)
     delta_beta_l = sc.dispersion.beta_fs2_per_mm * (
         sc.dispersion.length_1_mm - sc.dispersion.length_2_mm
@@ -156,6 +166,7 @@ def _run_two_photon_scan(sc: Scenario, out: Path, base: str, threads: int) -> li
             "schmidt_number": schmidt_number(decomp),
             "schmidt_rank": decomp.rank,
             "truncation_tail_mass": decomp.tail_mass,
+            "schmidt_truncation_warning": decomp.truncation_warning,
             "purity_mode": sc.purity_mode,
         }
     )
@@ -304,8 +315,9 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     base = resolved.output.basename
 
+    warnings: list[str] = []
     if resolved.mode == "two-photon-scan":
-        files = _run_two_photon_scan(resolved, out, base, threads)
+        files = _run_two_photon_scan(resolved, out, base, threads, warnings)
     elif resolved.mode == "visibility-curve":
         files = _run_visibility_curve(resolved, out, base, threads)
     elif resolved.mode == "network-check":
@@ -329,4 +341,4 @@ def run(
         yaml.safe_dump(manifest, sort_keys=True, default_flow_style=False),
     )
     files.append(manifest_name)
-    return RunResult(scenario=resolved, out_dir=out, files=files)
+    return RunResult(scenario=resolved, out_dir=out, files=files, warnings=warnings)

@@ -1,14 +1,43 @@
-"""Schmidt decomposition of the JSA via SVD and heralded-state extraction.
+"""Schmidt decomposition of the JSA by adaptive randomized SVD, and the
+heralded states built from it.
 
-The discretized JSA matrix, weighted by the quadrature cell, has Frobenius
+The discretized JSA matrix A, weighted by the quadrature cell, has Frobenius
 norm 1; its singular value decomposition is the matrix analogue of the
 continuous Schmidt decomposition.  Squared singular values are the Schmidt
 eigenvalues, and the left/right singular vectors (rescaled by the grid
 spacings) are the signal/idler mode functions.
 
-SVD phases are arbitrary, so a fixed convention is applied: each signal mode
-is rotated so its largest-magnitude sample is real positive (the paired idler
-mode absorbs the opposite rotation).  Ordering ties between numerically equal
+Only the few leading modes are ever kept, so the decomposition uses the
+randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
+2011; arXiv:0909.4061) instead of a full SVD:
+
+* A Gaussian test block of k columns, drawn from a generator with a fixed
+  seed on every call, is multiplied by A; one power iteration, with
+  re-orthonormalisation by QR after each product, gives an orthonormal
+  basis Q of the dominant range.  The SVD of the small k x N projection
+  Q^H A then yields the leading singular triplets.
+* The block starts at 16 columns and doubles, capped at min(N_s, N_i),
+  until the truncation rule is decided within the first k - 8 eigenvalues
+  (the last 8 columns are oversampling and are never trusted).  A
+  full-width block uses the QR basis of A itself and is exact, so rank = N
+  and mass = 1 keep every mode.
+* The arithmetic is real whenever A has no imaginary part, which holds for
+  every pump, phase-matching and filter model; a complex A runs the same
+  code in complex dtype.
+* The discarded mass is exact: 1 - sum(kept eigenvalues) / ||A||_F^2.
+
+The fixed seed makes the result a deterministic function of the JSA, so
+re-running a manifest reproduces its outputs byte for byte.
+
+Singular vectors are defined only up to a phase per signal/idler pair, so
+:func:`fix_gauge` applies a convention that rounding cannot change: each
+signal mode is rotated so that its *last* sample whose magnitude lies within
+1e-9 (relative) of the maximum is real positive, and the paired idler mode
+absorbs the opposite rotation.  Modes of a mirror-symmetric JSA have exact
+parity, |phi(w)| = |phi(-w)|, so a plain argmax would pick a side on
+rounding noise and flip odd modes with N, the BLAS build or the algorithm;
+the tolerance makes both mirror samples count as the maximum and always
+selects the positive-detuning one.  Ordering ties between numerically equal
 eigenvalues are broken by the first moment of the signal-mode intensity.
 """
 
@@ -26,9 +55,23 @@ from .spectral import SpectralFunction
 # Keep eigenvalues until this cumulative mass by default, then renormalize.
 DEFAULT_MASS = 0.999
 
+# A discarded eigenvalue mass above this sets ``truncation_warning``.
+TRUNCATION_WARNING_MASS = 0.05
+
 # Eigenvalues within this relative distance are treated as degenerate when
 # applying the deterministic tie-break.
 _TIE_RTOL = 1e-12
+
+# Randomized SVD: first test-block width, oversampling columns that never
+# decide a truncation, and the fixed generator seed (same JSA, same modes).
+_INITIAL_BLOCK = 16
+_OVERSAMPLING = 8
+_SEED = 20110909
+
+# Samples within this relative distance of a mode's largest magnitude count
+# as its maximum when placing the phase pivot (mirror samples of a mode with
+# exact parity differ only by rounding, ~1e-14).
+_PIVOT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +80,8 @@ class SchmidtDecomposition:
 
     ``eigenvalues`` are renormalized to sum to 1 after truncation;
     ``tail_mass`` records the discarded eigenvalue mass of the full spectrum
-    and ``truncation_warning`` flags a discarded mass above 5%.
+    and ``truncation_warning`` flags a discarded mass above
+    ``TRUNCATION_WARNING_MASS`` (5%).
     """
 
     eigenvalues: np.ndarray
@@ -90,55 +134,52 @@ def schmidt_decompose(
     threshold: float | None = None,
     mass: float | None = None,
 ) -> SchmidtDecomposition:
-    """SVD-based Schmidt decomposition with one of three truncation rules.
+    """Schmidt decomposition with one of three truncation rules.
 
     Exactly one of ``rank`` (keep the top r), ``threshold`` (keep eigenvalues
     >= epsilon) or ``mass`` (keep until the cumulative eigenvalue mass reaches
-    the target) may be given; the default is mass = 0.999.
+    the target) may be given; the default is mass = 0.999.  The leading
+    modes come from an adaptive randomized SVD (see the module docstring).
     """
     chosen = [name for name, v in (("rank", rank), ("threshold", threshold), ("mass", mass)) if v is not None]
     if len(chosen) > 1:
         raise InvalidArgumentError(f"conflicting truncation rules: {chosen}")
-
-    ds = jsa.grid_signal.spacing
-    di = jsa.grid_idler.spacing
-    weighted = jsa.amplitudes * math.sqrt(ds * di)
-    u, s, vh = np.linalg.svd(weighted, full_matrices=False)
-    lam = s**2
-    total = float(lam.sum())  # == 1 up to rounding for a normalized JSA
-
     if rank is not None:
         if rank < 1:
             raise InvalidArgumentError(f"truncation rank must be >= 1, got {rank}")
-        keep = min(int(rank), len(lam))
-    elif threshold is not None:
-        keep = int(np.count_nonzero(lam >= threshold))
-        if keep < 1:
-            raise InvalidArgumentError(
-                f"eigenvalue threshold {threshold} removes every mode"
-            )
-    else:
-        target = DEFAULT_MASS if mass is None else float(mass)
-        if not 0.0 < target <= 1.0:
-            raise InvalidArgumentError(f"mass target must be in (0, 1], got {target}")
-        cum = np.cumsum(lam) / total
-        keep = int(np.searchsorted(cum, target) + 1)
-        keep = min(keep, len(lam))
+        rank = int(rank)
+    if rank is None and threshold is None:
+        mass = DEFAULT_MASS if mass is None else float(mass)
+        if not 0.0 < mass <= 1.0:
+            raise InvalidArgumentError(f"mass target must be in (0, 1], got {mass}")
 
-    tail = float(lam[keep:].sum()) / total
+    ds = jsa.grid_signal.spacing
+    di = jsa.grid_idler.spacing
+    amplitudes = jsa.amplitudes
+    if not np.any(amplitudes.imag):
+        amplitudes = amplitudes.real
+    weighted = amplitudes * math.sqrt(ds * di)
+    total = float(np.vdot(weighted, weighted).real)  # ||A||_F^2, 1 up to rounding
+
+    full = min(weighted.shape)
+    k = min(_INITIAL_BLOCK, full)
+    while True:
+        exact = k == full
+        u, s, vh = _truncated_svd(weighted, k, exact)
+        lam = s**2
+        keep = _kept_count(lam, total, exact, rank, threshold, mass)
+        if keep is not None:
+            break
+        k = min(2 * k, full)
+
+    tail = max(0.0, 1.0 - float(lam[:keep].sum()) / total)
     eigenvalues = lam[:keep] / float(lam[:keep].sum())
+    u, vh = fix_gauge(u[:, :keep], vh[:keep])
 
     grid_s = jsa.grid_signal
     grid_i = jsa.grid_idler
-    signal = []
-    idler = []
-    for n in range(keep):
-        phi = u[:, n] / math.sqrt(ds)
-        psi = vh[n, :] / math.sqrt(di)
-        pivot = phi[int(np.argmax(np.abs(phi)))]
-        phase = pivot / abs(pivot)
-        signal.append(SpectralFunction(grid_s, phi * np.conj(phase)))
-        idler.append(SpectralFunction(grid_i, psi * phase))
+    signal = [SpectralFunction(grid_s, u[:, n] / math.sqrt(ds)) for n in range(keep)]
+    idler = [SpectralFunction(grid_i, vh[n] / math.sqrt(di)) for n in range(keep)]
 
     order = _tie_broken_order(eigenvalues, signal)
     eigenvalues = eigenvalues[order]
@@ -151,8 +192,76 @@ def schmidt_decompose(
         idler_modes=tuple(idler),
         rank=keep,
         tail_mass=tail,
-        truncation_warning=tail > 0.05,
+        truncation_warning=tail > TRUNCATION_WARNING_MASS,
     )
+
+
+def _truncated_svd(
+    a: np.ndarray, k: int, exact: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading k singular triplets of ``a`` from the SVD of Q^H a.
+
+    Q is the QR basis of ``a`` itself when ``exact`` (k = min(a.shape), so
+    Q spans the whole range), and otherwise the range finder's basis: a
+    fixed-seed Gaussian block with one power iteration, re-orthonormalised
+    by QR after every product.  a^H Q is formed as (Q^H a)^H, so that ``a``
+    itself is never conjugated or copied.
+    """
+    if exact:
+        q = np.linalg.qr(a)[0]
+    else:
+        omega = np.random.default_rng(_SEED).standard_normal((a.shape[1], k))
+        q = np.linalg.qr(a @ omega)[0]
+        q = np.linalg.qr((q.conj().T @ a).conj().T)[0]
+        q = np.linalg.qr(a @ q)[0]
+    ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
+    return q @ ub, s, vh
+
+
+def _kept_count(
+    lam: np.ndarray,
+    total: float,
+    exact: bool,
+    rank: int | None,
+    threshold: float | None,
+    mass: float | None,
+) -> int | None:
+    """Modes the truncation rule keeps, or None while it is undecided.
+
+    Only the first k - oversampling eigenvalues of a randomized block are
+    trusted; an exact block trusts all of them and always decides.
+    """
+    trusted = len(lam) if exact else len(lam) - _OVERSAMPLING
+    if rank is not None:
+        return min(rank, trusted) if exact or rank <= trusted else None
+    if threshold is not None:
+        keep = int(np.count_nonzero(lam[:trusted] >= threshold))
+        if keep < 1:
+            raise InvalidArgumentError(
+                f"eigenvalue threshold {threshold} removes every mode"
+            )
+        return keep if exact or keep < trusted else None
+    cum = np.cumsum(lam[:trusted]) / total
+    keep = int(np.searchsorted(cum, mass)) + 1
+    return min(keep, trusted) if exact or keep <= trusted else None
+
+
+def fix_gauge(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the phase convention to singular-vector pairs.
+
+    ``u`` holds signal modes as columns and ``vh`` the paired idler modes as
+    rows (the layout of an SVD).  Column n of ``u`` is rotated so that its
+    last sample within ``_PIVOT_RTOL`` of its largest magnitude is real
+    positive; row n of ``vh`` takes the conjugate rotation, so every product
+    u[:, n] vh[n] is unchanged.  The result does not depend on the phase
+    each pair came in with, nor on rounding between mirror samples.
+    """
+    mag = np.abs(u)
+    near_max = mag >= (1.0 - _PIVOT_RTOL) * mag.max(axis=0)
+    pivot = u.shape[0] - 1 - np.argmax(near_max[::-1], axis=0)
+    p = u[pivot, np.arange(u.shape[1])]
+    phase = p / np.abs(p)
+    return u * phase.conj(), vh * phase[:, None]
 
 
 def _tie_broken_order(eigenvalues: np.ndarray, modes: list[SpectralFunction]) -> list[int]:

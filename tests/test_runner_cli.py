@@ -191,6 +191,31 @@ def test_cli_numerical_error_exit_code(tmp_path):
     assert "numerical error" in result.output
 
 
+def test_truncation_warning_reaches_metrics_and_stderr(tmp_path):
+    # Keeping a single Schmidt mode of the fig2a source discards ~16% of the
+    # eigenvalue mass: the run still succeeds, but says so.
+    scenario = {
+        "name": "rank1",
+        "mode": "two-photon-scan",
+        "truncation": {"kind": "rank", "value": 1},
+    }
+    path = tmp_path / "rank1.yaml"
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stderr.startswith("warning: Schmidt truncation discards")
+    assert len(result.stderr.splitlines()) == 1
+    metrics = json.loads((tmp_path / "rank1_metrics.json").read_text())
+    assert metrics["schmidt_truncation_warning"] is True
+    assert metrics["truncation_tail_mass"] > 0.05
+
+    result = CliRunner().invoke(main, ["run", "--preset", "fig2a", "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    metrics = json.loads((tmp_path / "fig2a_metrics.json").read_text())
+    assert metrics["schmidt_truncation_warning"] is False
+
+
 def test_cli_io_error_exit_code(tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("file in the way", encoding="utf-8")

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim.errors import DegenerateStateError, InvalidArgumentError
+from homsim.hom import visibility_curve
 from homsim.schmidt import (
     HeraldedState,
+    SchmidtDecomposition,
+    fix_gauge,
     herald,
     postulate_pure_state,
     purity,
@@ -47,11 +52,25 @@ def separable_jsa(n: int = 128):
     return JointSpectralAmplitude(grid, grid, np.outer(g, h))
 
 
+def source_jsa(n: int, signal_fwhm: float = 10.0, model: str = "gaussian-approx"):
+    grid = make_grid(780.0, 10.0, 4.0, n)
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(model=model), grid, grid)
+    return apply_filters(jsa, BandpassFilter(780.0, signal_fwhm), BandpassFilter(780.0, 10.0))
+
+
+def oracle_svd(jsa: JointSpectralAmplitude):
+    """Full ``np.linalg.svd`` of the quadrature-weighted JSA: the reference
+    the randomized decomposition is checked against.  A JSA without
+    imaginary part is passed as the same real matrix (a cheaper SVD)."""
+    weighted = jsa.amplitudes * math.sqrt(jsa.grid_signal.spacing * jsa.grid_idler.spacing)
+    if not np.any(weighted.imag):
+        weighted = weighted.real
+    return np.linalg.svd(weighted, full_matrices=False)
+
+
 @pytest.fixture(scope="module")
 def filtered_jsa():
-    grid = make_grid(780.0, 10.0, 4.0, 256)
-    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
-    return apply_filters(jsa, BandpassFilter(780.0, 10.0), BandpassFilter(780.0, 10.0))
+    return source_jsa(256)
 
 
 def test_separable_jsa_gives_single_eigenvalue():
@@ -262,3 +281,92 @@ def test_degenerate_pair_ordered_by_first_moment():
     ]
     assert abs(decomp.eigenvalues[0] - decomp.eigenvalues[1]) < 1e-12
     assert moments[0] < moments[1]
+
+
+# Truncation rules of the oracle comparison, and the number of modes each
+# keeps from the full spectrum lam (sorted, summing to ||A||_F^2).
+ORACLE_RULES = {
+    "rank": (4, lambda lam: 4),
+    "threshold": (1e-4, lambda lam: int(np.count_nonzero(lam >= 1e-4))),
+    "mass": (0.999, lambda lam: int(np.searchsorted(np.cumsum(lam) / lam.sum(), 0.999)) + 1),
+}
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("signal_fwhm", [1.0, 4.0, 12.0])
+@pytest.mark.parametrize("model", ["gaussian-approx", "sinc"])
+def test_randomized_decomposition_matches_full_svd(model, signal_fwhm, n):
+    jsa = source_jsa(n, signal_fwhm, model)
+    u, s, vh = oracle_svd(jsa)
+    lam = s**2
+    root_spacing = math.sqrt(jsa.grid_signal.spacing)  # square grid
+    for rule, (value, oracle_keep) in ORACLE_RULES.items():
+        decomp = schmidt_decompose(jsa, **{rule: value})
+        keep = oracle_keep(lam)
+        assert decomp.rank == keep, rule
+        kept = lam[:keep] / lam[:keep].sum()
+        assert np.max(np.abs(decomp.eigenvalues - kept)) < 1e-12, rule
+        assert abs(decomp.tail_mass - lam[keep:].sum() / lam.sum()) < 1e-12, rule
+        gu, gvh = fix_gauge(u[:, :keep], vh[:keep])
+        got_u = np.array([m.amplitudes for m in decomp.signal_modes]).T * root_spacing
+        got_vh = np.array([m.amplitudes for m in decomp.idler_modes]) * root_spacing
+        assert np.max(np.abs(got_u - gu)) < 1e-9, rule
+        assert np.max(np.abs(got_vh - gvh)) < 1e-9, rule
+
+
+@pytest.fixture(scope="module")
+def filtered_svd(filtered_jsa):
+    u, s, vh = oracle_svd(filtered_jsa)
+    return filtered_jsa.grid_signal, u[:, :4], s[:4], vh[:4]
+
+
+def _decomposition(grid, u, s, vh) -> SchmidtDecomposition:
+    lam = s**2 / np.sum(s**2)
+    root = math.sqrt(grid.spacing)
+    return SchmidtDecomposition(
+        eigenvalues=lam,
+        signal_modes=tuple(SpectralFunction(grid, u[:, n] / root) for n in range(len(s))),
+        idler_modes=tuple(SpectralFunction(grid, vh[n] / root) for n in range(len(s))),
+        rank=len(s),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+    noise_seed=st.integers(0, 2**32 - 1),
+)
+def test_gauge_ignores_pair_phases_and_rounding(filtered_svd, thetas, noise_seed):
+    # Rotate each pair (u_n, v_n*) by e^{i theta_n} and perturb the modes at
+    # the rounding level of a different SVD algorithm: mirror samples of
+    # these parity-exact modes then differ in either direction.
+    grid, u, s, vh = filtered_svd
+    rot = np.exp(1j * np.array(thetas))
+    noise = np.random.default_rng(noise_seed).standard_normal(u.shape) * 1e-15
+    ref_u, ref_vh = fix_gauge(u, vh)
+    got_u, got_vh = fix_gauge((u + noise) * rot, vh * rot.conj()[:, None])
+    assert np.max(np.abs(got_u - ref_u)) < 1e-12
+    assert np.max(np.abs(got_vh - ref_vh)) < 1e-12
+    ref = postulate_pure_state(_decomposition(grid, ref_u, s, ref_vh)).modes[0]
+    got = postulate_pure_state(_decomposition(grid, got_u, s, got_vh)).modes[0]
+    assert np.max(np.abs(got.amplitudes - ref.amplitudes)) * math.sqrt(grid.spacing) < 1e-12
+
+
+def test_postulated_pure_curve_does_not_depend_on_grid_size():
+    # fig3's source and offsets: the postulated pure state sums the modes
+    # coherently, so it changes if any mode's sign depends on N.
+    deltas = [0.0, 500.0, 1000.0, 1500.0, 2500.0, 3500.0, 5000.0]
+    curves = []
+    for n in (512, 1024, 2048):
+        grid = make_grid(780.0, 10.0, 4.0, n)
+        filters = (BandpassFilter(780.0, 10.0), BandpassFilter(780.0, 10.0))
+        curves.append(
+            np.array(
+                visibility_curve(
+                    PumpSpectrum(), PhaseMatching(), grid, grid, *filters,
+                    37.802, 6000.0, deltas, "postulated-pure",
+                )
+            )
+        )
+    for curve in curves[1:]:
+        assert np.max(np.abs(curve - curves[0])) < 1e-9

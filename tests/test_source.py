@@ -53,9 +53,17 @@ def test_type_ii_jsi_is_anticorrelated(grid):
     pm = PhaseMatching(model="sinc")
     intensity = jsi(build_jsa(PumpSpectrum(), pm, grid, grid))
     w = grid.detunings
-    ws = np.sum(intensity * w[:, None])
-    cov = np.sum(intensity * w[:, None] * w[None, :]) / np.sum(intensity)
-    assert abs(ws) < 1e-12  # centered
+    # Centred: the grid is mirror-exact and the pump and phase-matching
+    # arguments are odd in the detunings, so the JSI is exactly
+    # centrosymmetric and its centroid vanishes up to rounding.
+    assert np.array_equal(intensity, intensity[::-1, ::-1])
+    total = np.sum(intensity)
+    centroid = (
+        np.sum(intensity * w[:, None]) / total,
+        np.sum(intensity * w[None, :]) / total,
+    )
+    assert max(abs(c) for c in centroid) < 1e-12 * grid.spacing
+    cov = np.sum(intensity * w[:, None] * w[None, :]) / total
     assert cov < 0  # anti-correlated ridge
 
 
