@@ -7,6 +7,8 @@ dispersive media, evaluate the two-photon coincidence dip versus delay, and
 audit multi-path networks for dispersion-cancellation conditions.
 """
 
+__version__ = "0.1.0"
+
 from .dispersion import DispersiveElement, apply_dispersion, broadened_duration, gvd_phase
 from .errors import (
     DegenerateFilterError,

@@ -49,8 +49,7 @@ def main() -> None:
     type=str,
     help="Output directory (overrides the scenario's).",
 )
-@click.option("--threads", default=1, type=click.IntRange(min=1), show_default=True)
-def run_command(scenario_file: str | None, preset_name: str | None, out_dir, threads: int):
+def run_command(scenario_file: str | None, preset_name: str | None, out_dir):
     """Execute SCENARIO_FILE (YAML) or a named --preset."""
     if (scenario_file is None) == (preset_name is None):
         raise click.UsageError("give exactly one of SCENARIO_FILE or --preset")
@@ -60,7 +59,7 @@ def run_command(scenario_file: str | None, preset_name: str | None, out_dir, thr
             if preset_name is not None
             else parse_scenario(scenario_file)
         )
-        result = run_scenario(scenario, out_dir=out_dir, threads=threads)
+        result = run_scenario(scenario, out_dir=out_dir)
     except ScenarioError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

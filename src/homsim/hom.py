@@ -18,28 +18,21 @@ cross-checking.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import FOUR_LN2
 from .errors import FitFailureError, InvalidArgumentError, NoDipError
-from .schmidt import (
-    HeraldedState,
-    herald,
-    postulate_pure_state,
-    schmidt_decompose,
-)
-from .source import (
-    BandpassFilter,
-    PhaseMatching,
-    PumpSpectrum,
-    apply_filters,
-    build_jsa,
-)
-from .spectral import FrequencyGrid
+from .schmidt import HeraldedState
+
+# Dip fit: iteration cap, and the largest scaled parameter step (B by |B|,
+# V by 1, t0 and w by w) at which the fit has converged.
+FIT_MAX_ITERATIONS = 200
+FIT_STEP_TOLERANCE = 1e-13
+# Bounds of (B, V, t0, w).
+_FIT_LOWER = np.array([0.0, 0.0, -np.inf, 0.0])
+_FIT_UPPER = np.array([np.inf, 1.0, np.inf, np.inf])
 
 
 @dataclass(frozen=True)
@@ -74,9 +67,12 @@ class InterferenceScan:
         probs = np.asarray(self.probabilities, dtype=float)
         if taus.shape != probs.shape:
             raise InvalidArgumentError("taus and probabilities must match in length")
-        if probs.size and (probs.min() < -1e-9 or probs.max() > 0.5 + 1e-9):
+        if not np.all(np.isfinite(taus)):
+            raise InvalidArgumentError("delays must be finite")
+        if not np.all((probs >= -1e-9) & (probs <= 0.5 + 1e-9)):
             raise InvalidArgumentError(
-                f"probabilities outside [0, 1/2]: min={probs.min()!r} max={probs.max()!r}"
+                f"probabilities outside [0, 1/2] or not finite: "
+                f"min={probs.min()!r} max={probs.max()!r}"
             )
         taus.setflags(write=False)
         probs.setflags(write=False)
@@ -184,15 +180,9 @@ def scan(
     state2: HeraldedState,
     delta_beta_l: float | None,
     cfg: ScanConfig,
-    threads: int = 1,
 ) -> InterferenceScan:
-    """Pointwise coincidence probability over a uniform delay grid.
-
-    The delay samples are independent; with ``threads`` > 1 they are
-    evaluated in contiguous blocks on a thread pool, which is bitwise
-    identical to the sequential result (the reduction order within each
-    sample is unchanged).
-    """
+    """Coincidence probability at every delay of ``cfg``, all delays in one
+    vectorised contraction over the Schmidt modes."""
     state1.grid.require_same(state2.grid)
     quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
     grid = state1.grid
@@ -201,26 +191,58 @@ def scan(
     m1 = _mode_matrix(state1)
     m2c = _mode_matrix(state2).conj()
     static = np.exp(1j * 0.5 * quad * w**2) * grid.spacing
-
-    def block(ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(1j * np.outer(ts, w)) * static
-        overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
-        return 0.5 - 0.5 * np.einsum(
-            "tnm,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights
-        )
-
-    if threads <= 1 or len(taus) < 2 * threads:
-        probs = block(taus)
-    else:
-        chunks = np.array_split(taus, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, chunks))
-        probs = np.concatenate(parts)
+    phases = np.exp(1j * np.outer(taus, w)) * static
+    overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
+    probs = 0.5 - 0.5 * np.einsum(
+        "tnm,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights
+    )
     return InterferenceScan(taus=taus, probabilities=probs)
 
 
 def _dip_model(tau, baseline, visibility, center, width):
     return baseline * (1.0 - visibility * np.exp(-FOUR_LN2 * (tau - center) ** 2 / width**2))
+
+
+def _dip_jacobian(tau, baseline, visibility, center, width):
+    x = tau - center
+    g = np.exp(-FOUR_LN2 * x**2 / width**2)
+    d_center = -2.0 * FOUR_LN2 * baseline * visibility * g * x / width**2
+    return np.column_stack([1.0 - visibility * g, -baseline * g, d_center, d_center * x / width])
+
+
+def _levenberg_marquardt(taus, probs, p, guess) -> np.ndarray:
+    """Bounded Levenberg-Marquardt on the scaled parameters (Madsen, Nielsen
+    & Tingleff 2004, alg. 3.16).  A parameter on a bound whose gradient points
+    outward is held; steps are clipped to the bounds."""
+    r = _dip_model(taus, *p) - probs
+    mu, nu = None, 2.0
+    for _ in range(FIT_MAX_ITERATIONS):
+        scale = np.array([abs(p[0]), 1.0, p[3], p[3]])
+        jac = _dip_jacobian(taus, *p) * scale
+        grad = jac.T @ r
+        free = ~(((p <= _FIT_LOWER) & (grad > 0)) | ((p >= _FIT_UPPER) & (grad < 0)))
+        normal = jac[:, free].T @ jac[:, free]
+        if mu is None:
+            mu = 1e-3 * np.max(np.sum(jac**2, axis=0))
+        step = np.zeros(4)
+        step[free] = np.linalg.solve(normal + mu * np.eye(len(normal)), -grad[free])
+        trial = np.clip(p + step * scale, _FIT_LOWER, _FIT_UPPER)
+        step = (trial - p) / scale
+        if np.max(np.abs(step)) <= FIT_STEP_TOLERANCE:
+            return p
+        r_trial = _dip_model(taus, *trial) - probs
+        predicted = -grad @ step - 0.5 * np.sum((jac @ step) ** 2)
+        gained = 0.5 * (r @ r - r_trial @ r_trial)
+        if predicted > 0 and gained > 0:
+            p, r = trial, r_trial
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gained / predicted - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    raise FitFailureError(
+        f"dip fit did not converge in {FIT_MAX_ITERATIONS} iterations", guess
+    )
 
 
 def _initial_guess(taus: np.ndarray, probs: np.ndarray) -> tuple[float, float, float, float]:
@@ -256,38 +278,22 @@ def fit_dip(scan_result: InterferenceScan) -> DipMetrics:
     """Least-squares Gaussian dip fit P(tau) = B (1 - V e^{-4 ln2 (tau-t0)^2/w^2}).
 
     Initialization: baseline from the outer 10% of samples, visibility from
-    the sample minimum, width from the half-depth crossings.  Raises
-    :class:`NoDipError` when the scan is flat (V < 0.001) and
-    :class:`FitFailureError` (carrying the initial guess) when the optimizer
-    does not converge.
+    the sample minimum, width from the half-depth crossings.  The fit is a
+    bounded Levenberg-Marquardt with the analytic Jacobian (B >= 0,
+    0 <= V <= 1, w >= 0); it stops when no scaled parameter step exceeds
+    ``FIT_STEP_TOLERANCE``.  Raises :class:`NoDipError` when the scan is flat
+    (V < 0.001) and :class:`FitFailureError` (carrying the initial guess)
+    when ``FIT_MAX_ITERATIONS`` pass without convergence.
     """
     taus = scan_result.taus
     probs = scan_result.probabilities
     guess = _initial_guess(taus, probs)
     if guess[1] < 1e-3:
         raise NoDipError(f"no dip found (initial visibility {guess[1]:.2e})")
-    lower = (0.0, 0.0, -np.inf, 0.0)
-    upper = (np.inf, 1.0, np.inf, np.inf)
-    p0 = (
-        max(guess[0], 1e-12),
-        min(max(guess[1], 0.0), 1.0),
-        guess[2],
-        max(guess[3], 1e-9),
+    p0 = np.array(
+        [max(guess[0], 1e-12), min(max(guess[1], 0.0), 1.0), guess[2], max(guess[3], 1e-9)]
     )
-    try:
-        params, _ = curve_fit(
-            _dip_model,
-            taus,
-            probs,
-            p0=p0,
-            bounds=(lower, upper),
-            max_nfev=20000,
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-        )
-    except RuntimeError as exc:
-        raise FitFailureError(f"dip fit did not converge: {exc}", guess) from exc
+    params = _levenberg_marquardt(taus, probs, p0, guess)
     baseline, visibility, center, width = (float(v) for v in params)
     residual = float(np.sqrt(np.mean((_dip_model(taus, *params) - probs) ** 2)))
     raw_visibility = float(1.0 - probs.min() / baseline)
@@ -309,31 +315,20 @@ def default_scan_config(delta_beta_l: float) -> ScanConfig:
 
 
 def visibility_curve(
-    pump: PumpSpectrum,
-    pm: PhaseMatching,
-    grid_signal: FrequencyGrid,
-    grid_idler: FrequencyGrid,
-    filter_signal: BandpassFilter | None,
-    filter_idler: BandpassFilter | None,
+    state: HeraldedState,
     beta: float,
     length_1: float,
     delta_l_list,
-    purity_mode: str = "mixed",
     scan_config: ScanConfig | None = None,
-    threads: int = 1,
 ) -> list[tuple[float, float, float]]:
-    """(delta_L, visibility, fwhm_ps) from the full pipeline per length offset.
+    """(delta_L, visibility, fwhm_ps) of the fitted dip per length offset.
 
-    Both interfering photons come from identical sources; photon 1 passes
-    length_1 of fiber and photon 2 passes length_1 - delta_L, so only
-    beta*delta_L enters the interference.  ``purity_mode`` selects the
-    heralded mixture or the eigenvalue-weighted postulated pure state.
+    Both interfering photons are copies of ``state`` (the heralded mixture or
+    the postulated pure state); photon 1 passes length_1 of fiber and photon
+    2 passes length_1 - delta_L, so only beta*delta_L enters the
+    interference.  Without ``scan_config`` each offset gets its default scan
+    window.
     """
-    if purity_mode not in ("mixed", "postulated-pure"):
-        raise InvalidArgumentError(f"unknown purity_mode {purity_mode!r}")
-    jsa = apply_filters(build_jsa(pump, pm, grid_signal, grid_idler), filter_signal, filter_idler)
-    decomp = schmidt_decompose(jsa)
-    state = herald(decomp) if purity_mode == "mixed" else postulate_pure_state(decomp)
     results = []
     for delta_l in delta_l_list:
         if length_1 < delta_l:
@@ -342,6 +337,6 @@ def visibility_curve(
             )
         delta_beta_l = beta * float(delta_l)
         cfg = scan_config if scan_config is not None else default_scan_config(delta_beta_l)
-        metrics = fit_dip(scan(state, state, delta_beta_l, cfg, threads=threads))
+        metrics = fit_dip(scan(state, state, delta_beta_l, cfg))
         results.append((float(delta_l), metrics.visibility, metrics.fwhm))
     return results

@@ -8,13 +8,12 @@ the manifest back to ``run`` reproduces those files byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import io
+from . import __version__, io
 from .dispersion import DispersiveElement, broadened_duration
 from .errors import InvalidArgumentError
 from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
@@ -135,12 +134,14 @@ def _scan_config(sc: Scenario, delta_beta_l: float) -> ScanConfig:
     return default_scan_config(delta_beta_l)
 
 
-def _run_two_photon_scan(
-    sc: Scenario, out: Path, base: str, threads: int, warnings: list[str]
-) -> list[str]:
+def _filtered_jsa(sc: Scenario):
     grid = _grid(sc)
     jsa = build_jsa(_pump(sc), _phase_matching(sc), grid, grid)
-    jsa = apply_filters(jsa, _filter(sc.filters.signal), _filter(sc.filters.idler))
+    return apply_filters(jsa, _filter(sc.filters.signal), _filter(sc.filters.idler))
+
+
+def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+    jsa = _filtered_jsa(sc)
     decomp = schmidt_decompose(jsa, **_truncation_kwargs(sc))
     if decomp.truncation_warning:
         warnings.append(
@@ -152,7 +153,7 @@ def _run_two_photon_scan(
         sc.dispersion.length_1_mm - sc.dispersion.length_2_mm
     )
     cfg = _scan_config(sc, delta_beta_l)
-    result = scan(state, state, delta_beta_l, cfg, threads=threads)
+    result = scan(state, state, delta_beta_l, cfg)
     metrics = fit_dip(result)
 
     files = []
@@ -187,10 +188,7 @@ def _run_two_photon_scan(
     return files
 
 
-def _run_visibility_curve(sc: Scenario, out: Path, base: str, threads: int) -> list[str]:
-    grid = _grid(sc)
-    pump, pm = _pump(sc), _phase_matching(sc)
-    fs, fi = _filter(sc.filters.signal), _filter(sc.filters.idler)
+def _run_visibility_curve(sc: Scenario, out: Path, base: str) -> list[str]:
     beta = sc.dispersion.beta_fs2_per_mm
     deltas = sc.dispersion.delta_lengths_mm
     length_1 = sc.dispersion.length_1_mm
@@ -201,27 +199,13 @@ def _run_visibility_curve(sc: Scenario, out: Path, base: str, threads: int) -> l
     explicit_cfg = None
     if sc.scan is not None:
         explicit_cfg = ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)
-    curves = {
-        mode: visibility_curve(
-            pump,
-            pm,
-            grid,
-            grid,
-            fs,
-            fi,
-            beta,
-            length_1,
-            deltas,
-            mode,
-            scan_config=explicit_cfg,
-            threads=threads,
-        )
-        for mode in ("mixed", "postulated-pure")
-    }
-    rows = [
-        (dl, vm, wm, vp, wp)
-        for (dl, vm, wm), (_, vp, wp) in zip(curves["mixed"], curves["postulated-pure"])
-    ]
+    # The curve keeps the default truncation, whatever the scenario's.
+    decomp = schmidt_decompose(_filtered_jsa(sc))
+    mixed, pure = (
+        visibility_curve(state, beta, length_1, deltas, explicit_cfg)
+        for state in (herald(decomp), postulate_pure_state(decomp))
+    )
+    rows = [(dl, vm, wm, vp, wp) for (dl, vm, wm), (_, vp, wp) in zip(mixed, pure)]
     name = f"{base}_curve.csv"
     io.write_curve_csv(
         out / name,
@@ -300,11 +284,7 @@ def _run_broadening(sc: Scenario, out: Path, base: str) -> list[str]:
     return [name]
 
 
-def run(
-    scenario: Scenario,
-    out_dir: str | Path | None = None,
-    threads: int = 1,
-) -> RunResult:
+def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Execute a scenario and write its outputs plus the run manifest."""
     resolved = scenario.model_copy(deep=True)
     if out_dir is not None:
@@ -317,9 +297,9 @@ def run(
 
     warnings: list[str] = []
     if resolved.mode == "two-photon-scan":
-        files = _run_two_photon_scan(resolved, out, base, threads, warnings)
+        files = _run_two_photon_scan(resolved, out, base, warnings)
     elif resolved.mode == "visibility-curve":
-        files = _run_visibility_curve(resolved, out, base, threads)
+        files = _run_visibility_curve(resolved, out, base)
     elif resolved.mode == "network-check":
         files = _run_network_check(resolved, out, base)
     elif resolved.mode == "network-sim":
@@ -327,13 +307,9 @@ def run(
     else:
         files = _run_broadening(resolved, out, base)
 
-    try:
-        version = metadata.version("homsim")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        version = "unknown"
     manifest = {
         "scenario": resolved.model_dump(mode="json"),
-        "meta": {"package": "homsim", "version": version, "outputs": sorted(files)},
+        "meta": {"package": "homsim", "version": __version__, "outputs": sorted(files)},
     }
     manifest_name = f"{base}_manifest.yaml"
     io.write_text(

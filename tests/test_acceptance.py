@@ -132,20 +132,12 @@ def test_criterion_05_pure_state_unit_visibility():
 def test_criterion_06_visibility_and_width_monotonic_in_length_difference():
     grid = make_grid(780.0, 10.0, 4.0, 512)
     deltas = [0.0, 500.0, 1000.0, 2500.0, 5000.0]
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
+    jsa = apply_filters(jsa, BandpassFilter(780.0, 10.0), BandpassFilter(780.0, 10.0))
+    decomp = schmidt_decompose(jsa)
     details = []
-    for mode in ("mixed", "postulated-pure"):
-        curve = visibility_curve(
-            PumpSpectrum(),
-            PhaseMatching(),
-            grid,
-            grid,
-            BandpassFilter(780.0, 10.0),
-            BandpassFilter(780.0, 10.0),
-            BETA,
-            6000.0,
-            deltas,
-            mode,
-        )
+    for mode, state in (("mixed", herald(decomp)), ("postulated-pure", postulate_pure_state(decomp))):
+        curve = visibility_curve(state, BETA, 6000.0, deltas)
         vis = [v for _, v, _ in curve]
         widths = [w for _, _, w in curve]
         assert all(a > b for a, b in zip(vis, vis[1:])), mode

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from homsim import hom, runner
 from homsim.dispersion import DispersiveElement, apply_dispersion
 from homsim.errors import (
+    FitFailureError,
     IncompatibleGridError,
     InvalidArgumentError,
     NoDipError,
@@ -20,9 +22,11 @@ from homsim.hom import (
     scan,
     visibility_curve,
 )
+from homsim.scenario import load_preset
 from homsim.schmidt import (
     HeraldedState,
     herald,
+    postulate_pure_state,
     purity,
     schmidt_decompose,
 )
@@ -209,13 +213,6 @@ def test_exchange_symmetry(grid_small):
         assert p == pytest.approx(q, abs=1e-10)
 
 
-def test_parallel_scan_is_bitwise_identical(pipeline_state):
-    cfg = ScanConfig(-2000.0, 2000.0, 97)
-    seq = scan(pipeline_state, pipeline_state, 0.0, cfg, threads=1)
-    par = scan(pipeline_state, pipeline_state, 0.0, cfg, threads=4)
-    assert np.array_equal(seq.probabilities, par.probabilities)
-
-
 def test_scan_config_validation():
     with pytest.raises(InvalidArgumentError):
         ScanConfig(100.0, -100.0, 51)
@@ -225,6 +222,16 @@ def test_scan_config_validation():
         InterferenceScan(np.array([0.0, 1.0]), np.array([0.7, 0.1]))
     with pytest.raises(InvalidArgumentError):
         DipMetrics(1.2, 0.3, 0.5, 0.0, 1.2, 0.0)
+
+
+def test_interference_scan_rejects_non_finite_values():
+    taus = np.linspace(-100.0, 100.0, 5)
+    with pytest.raises(InvalidArgumentError):
+        InterferenceScan(taus, np.full(5, np.nan))
+    with pytest.raises(InvalidArgumentError):
+        InterferenceScan(taus, np.array([0.5, 0.4, np.nan, 0.4, 0.5]))
+    with pytest.raises(InvalidArgumentError):
+        InterferenceScan(np.array([0.0, 1.0, np.inf]), np.full(3, 0.5))
 
 
 def test_fit_recovers_exact_gaussian_dip():
@@ -244,6 +251,59 @@ def test_flat_scan_has_no_dip():
         fit_dip(InterferenceScan(taus, np.full(201, 0.5)))
 
 
+def test_fit_failure_carries_initial_guess(pipeline_state, monkeypatch):
+    result = scan(pipeline_state, pipeline_state, 0.0, default_scan_config(0.0))
+    monkeypatch.setattr(hom, "FIT_MAX_ITERATIONS", 1)
+    with pytest.raises(FitFailureError) as info:
+        fit_dip(result)
+    assert info.value.initial_guess == hom._initial_guess(result.taus, result.probabilities)
+
+
+def _preset_scans(name):
+    """Every scan the preset's run fits, built as the runner builds it."""
+    sc = load_preset(name)
+    jsa = runner._filtered_jsa(sc)
+    if sc.mode == "visibility-curve":
+        decomp = schmidt_decompose(jsa)
+        beta = sc.dispersion.beta_fs2_per_mm
+        return [
+            scan(state, state, beta * dl, runner._scan_config(sc, beta * dl))
+            for state in (herald(decomp), postulate_pure_state(decomp))
+            for dl in sc.dispersion.delta_lengths_mm
+        ]
+    state = runner._heralded_state(sc, schmidt_decompose(jsa, **runner._truncation_kwargs(sc)))
+    dbl = sc.dispersion.beta_fs2_per_mm * (sc.dispersion.length_1_mm - sc.dispersion.length_2_mm)
+    return [scan(state, state, dbl, runner._scan_config(sc, dbl))]
+
+
+@pytest.mark.parametrize("preset", ["fig1c", "fig2a", "fig2b", "fig2c", "fig3"])
+def test_fit_matches_curve_fit(preset):
+    optimize = pytest.importorskip("scipy.optimize")
+    for result in _preset_scans(preset):
+        taus, probs = result.taus, result.probabilities
+        guess = hom._initial_guess(taus, probs)
+        p0 = (max(guess[0], 1e-12), min(max(guess[1], 0.0), 1.0), guess[2], max(guess[3], 1e-9))
+        params, _ = optimize.curve_fit(
+            hom._dip_model,
+            taus,
+            probs,
+            p0=p0,
+            bounds=((0.0, 0.0, -np.inf, 0.0), (np.inf, 1.0, np.inf, np.inf)),
+            max_nfev=20000,
+            xtol=1e-14,
+            ftol=1e-14,
+            gtol=1e-14,
+        )
+        baseline, visibility, center, width = params
+        residual = np.sqrt(np.mean((hom._dip_model(taus, *params) - probs) ** 2))
+        got = fit_dip(result)
+        assert got.baseline == pytest.approx(baseline, rel=1e-8, abs=0)
+        assert got.visibility == pytest.approx(visibility, rel=1e-8, abs=0)
+        assert got.fwhm == pytest.approx(width / 1000.0, rel=1e-8, abs=0)
+        assert got.fit_residual == pytest.approx(residual, rel=1e-8, abs=0)
+        assert abs(got.center_fs - center) <= 1e-8 * width
+
+
 def test_fitted_visibility_matches_purity(pipeline_state):
     metrics = fit_dip(
         scan(pipeline_state, pipeline_state, 0.0, default_scan_config(0.0))
@@ -254,48 +314,23 @@ def test_fitted_visibility_matches_purity(pipeline_state):
 def test_visibility_curve_modes_and_monotonicity():
     grid = make_grid(780.0, 10.0, 4.0, 256)
     deltas = [0.0, 500.0, 1000.0, 2500.0, 5000.0]
-    curves = {}
-    for mode in ("mixed", "postulated-pure"):
-        curves[mode] = visibility_curve(
-            PumpSpectrum(),
-            PhaseMatching(),
-            grid,
-            grid,
-            BandpassFilter(780.0, 10.0),
-            BandpassFilter(780.0, 10.0),
-            BETA,
-            6000.0,
-            deltas,
-            mode,
-        )
-    pure0 = curves["postulated-pure"][0]
-    assert pure0[1] == pytest.approx(1.0, abs=1e-6)
-    mixed0 = curves["mixed"][0]
     grid_jsa = apply_filters(
         build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid),
         BandpassFilter(780.0, 10.0),
         BandpassFilter(780.0, 10.0),
     )
-    expected_purity = purity(herald(schmidt_decompose(grid_jsa)))
+    decomp = schmidt_decompose(grid_jsa)
+    curves = {
+        "mixed": visibility_curve(herald(decomp), BETA, 6000.0, deltas),
+        "postulated-pure": visibility_curve(postulate_pure_state(decomp), BETA, 6000.0, deltas),
+    }
+    pure0 = curves["postulated-pure"][0]
+    assert pure0[1] == pytest.approx(1.0, abs=1e-6)
+    mixed0 = curves["mixed"][0]
+    expected_purity = purity(herald(decomp))
     assert mixed0[1] == pytest.approx(expected_purity, abs=2e-3)
     for mode in curves:
         vis = [v for _, v, _ in curves[mode]]
         widths = [w for _, _, w in curves[mode]]
         assert all(a > b for a, b in zip(vis, vis[1:]))
         assert all(a < b for a, b in zip(widths, widths[1:]))
-
-
-def test_visibility_curve_rejects_unknown_mode(grid_small):
-    with pytest.raises(InvalidArgumentError):
-        visibility_curve(
-            PumpSpectrum(),
-            PhaseMatching(),
-            grid_small,
-            grid_small,
-            None,
-            None,
-            BETA,
-            6000.0,
-            [0.0],
-            "bogus",
-        )

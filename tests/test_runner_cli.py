@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import homsim
 from homsim.cli import main
 from homsim.runner import run
 from homsim.scenario import load_preset, parse_scenario
@@ -226,15 +231,11 @@ def test_cli_io_error_exit_code(tmp_path):
     assert "i/o error" in result.output
 
 
-def test_cli_threads_flag(tmp_path):
-    a = CliRunner().invoke(
-        main, ["run", "--preset", "fig2a", "--out", str(tmp_path / "t1")]
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, homsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    b = CliRunner().invoke(
-        main,
-        ["run", "--preset", "fig2a", "--out", str(tmp_path / "t4"), "--threads", "4"],
-    )
-    assert a.exit_code == 0 and b.exit_code == 0
-    assert read(tmp_path / "t1" / "fig2a_scan.csv") == read(
-        tmp_path / "t4" / "fig2a_scan.csv"
-    )
+    assert proc.stdout.strip() == "False"

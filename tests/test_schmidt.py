@@ -360,13 +360,8 @@ def test_postulated_pure_curve_does_not_depend_on_grid_size():
     for n in (512, 1024, 2048):
         grid = make_grid(780.0, 10.0, 4.0, n)
         filters = (BandpassFilter(780.0, 10.0), BandpassFilter(780.0, 10.0))
-        curves.append(
-            np.array(
-                visibility_curve(
-                    PumpSpectrum(), PhaseMatching(), grid, grid, *filters,
-                    37.802, 6000.0, deltas, "postulated-pure",
-                )
-            )
-        )
+        jsa = apply_filters(build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid), *filters)
+        state = postulate_pure_state(schmidt_decompose(jsa))
+        curves.append(np.array(visibility_curve(state, 37.802, 6000.0, deltas)))
     for curve in curves[1:]:
         assert np.max(np.abs(curve - curves[0])) < 1e-9
