@@ -12,12 +12,31 @@ two ways: explicitly through ``delta_beta_l`` (states pristine) or implicitly
 through states whose modes already carry their dispersion phase; both routes
 coincide for the parity-symmetric mode functions produced by a symmetric JSA.
 
+Every probability, one delay or a scan, comes from one overlap routine.  The
+grid w_k = w_0 + k*dw and the delays tau_t = tau_0 + t*dtau are uniform, so
+the overlaps O_nn'(tau_t) = sum_k a_nn'[k] e^{i w_k tau_t} of all delays form
+a chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
+Electroacoust. 17, 86 (1969)).  Bluestein's identity
+kt = (k^2 + t^2 - (t - k)^2)/2 (Bluestein, 1970) turns it into one FFT
+convolution per mode pair: multiply a_nn' by the chirp e^{i alpha k^2/2},
+alpha = dw*dtau, convolve with e^{-i alpha j^2/2} through an FFT of a
+2-3-5-smooth length >= N + T - 1, and take |.|^2, which drops the output
+chirp.  The chirps are evaluated with their phases reduced exactly mod 2 pi,
+so large alpha*k^2 costs no accuracy.  The cost is O(R1 R2 (N + T) log(N + T))
+time and O(R1 R2 (N + T)) memory, where a direct sum over the T x N phase
+matrix costs O(T N (R1 + R1 R2)) and O(T N).  Results agree with that direct
+sum to rounding (~1e-15), not bit for bit.  Like the delay sum itself, the
+transform is periodic in the delay with the alias period 2*pi/dw of the
+frequency grid (12963 fs on the presets' grid): a scan window longer than
+that wraps around.
+
 A brute-force density-matrix oracle (no Schmidt structure) is provided for
 cross-checking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,23 +147,75 @@ def _mode_matrix(state: HeraldedState) -> np.ndarray:
     return np.array([m.amplitudes for m in state.modes])
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
+    """e^{2 pi i turns m^2} for integers m, to rounding however large turns*m^2.
+
+    ``turns`` mod 1 is held as a 64-bit binary fraction, so the phase mod 2 pi
+    is an exact wrapping uint64 product; a whole number of turns per m^2
+    changes nothing.
+    """
+    fraction = np.uint64(round(math.ldexp(turns % 1.0, 64)) % 2**64)
+    wrapped = fraction * (m.astype(np.int64) ** 2).astype(np.uint64)
+    return np.exp(2j * math.pi * math.ldexp(1.0, -64) * wrapped.astype(float))
+
+
+def _probabilities(
+    state1: HeraldedState,
+    state2: HeraldedState,
+    delta_beta_l: float | None,
+    tau0: float,
+    dtau: float,
+    n_taus: int,
+) -> np.ndarray:
+    """P(tau0 + t*dtau) for t < n_taus, the overlaps as one chirp-z transform.
+
+    With w_k = w_0 + k*dw and alpha = dw*dtau, Bluestein's
+    kt = (k^2 + t^2 - (t - k)^2)/2 gives
+    O_nm(tau_t) = e^{i(w_0 t dtau + alpha t^2/2)} sum_k b_nm[k] e^{-i alpha (t-k)^2/2},
+    b_nm[k] = phi1_n[k] conj(phi2_m[k]) e^{i(dBL w_k^2/2 + w_k tau0 + alpha k^2/2)} dw:
+    one FFT convolution per mode pair.  The leading factor is a unit-modulus
+    phase shared by every mode pair, so |O_nm|^2 does not need it.
+    """
+    state1.grid.require_same(state2.grid)
+    quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
+    grid = state1.grid
+    n = grid.n_points
+    w = grid.detunings
+    turns = grid.spacing * dtau / (4.0 * math.pi)  # alpha/2 in turns
+    chirp = _chirp(turns, np.arange(n))
+    chirp *= np.exp(1j * 0.5 * quad * w**2) * np.exp(1j * w * tau0) * grid.spacing
+    products = (_mode_matrix(state1) * chirp)[:, None, :] * _mode_matrix(state2).conj()
+    size = _smooth_length(n + n_taus - 1)
+    kernel = np.fft.fft(_chirp(turns, np.arange(1 - n, n_taus)).conj(), size)  # every t - k
+    overlaps = np.fft.ifft(np.fft.fft(products, size) * kernel)[..., n - 1 : n - 1 + n_taus]
+    weighted = np.einsum("nmt,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights)
+    return 0.5 - 0.5 * weighted
+
+
 def coincidence_probability(
     state1: HeraldedState,
     state2: HeraldedState,
     delta_beta_l: float | None,
     tau: float,
 ) -> float:
-    """Coincidence probability via the weighted Schmidt-mode double sum."""
-    state1.grid.require_same(state2.grid)
-    quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
-    grid = state1.grid
-    w = grid.detunings
-    phase = np.exp(1j * (0.5 * quad * w**2 + w * tau)) * grid.spacing
-    m1 = _mode_matrix(state1)
-    m2 = _mode_matrix(state2)
-    overlaps = (m1 * phase) @ m2.conj().T
-    weighted = state1.weights @ np.abs(overlaps) ** 2 @ state2.weights
-    return 0.5 - 0.5 * float(weighted)
+    """Coincidence probability at one delay: a one-sample scan."""
+    return float(_probabilities(state1, state2, delta_beta_l, tau, 0.0, 1)[0])
 
 
 def coincidence_probability_oracle(
@@ -181,21 +252,19 @@ def scan(
     delta_beta_l: float | None,
     cfg: ScanConfig,
 ) -> InterferenceScan:
-    """Coincidence probability at every delay of ``cfg``, all delays in one
-    vectorised contraction over the Schmidt modes."""
-    state1.grid.require_same(state2.grid)
-    quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
-    grid = state1.grid
-    w = grid.detunings
+    """Coincidence probability at every delay of ``cfg``.
+
+    Both the frequency grid and the delays are uniform, so the Schmidt-mode
+    overlaps at all delays form a chirp-z transform, evaluated as one FFT
+    convolution per mode pair (see the module docstring).  Memory grows as
+    R1*R2*(N + T), not T*N.  The result agrees with a direct sum over the
+    T x N phase matrix to rounding (about 1e-15), not bit for bit.  Like the
+    delay sum itself, it is periodic in the delay with the alias period
+    2*pi/spacing of the frequency grid.
+    """
     taus = cfg.taus()
-    m1 = _mode_matrix(state1)
-    m2c = _mode_matrix(state2).conj()
-    static = np.exp(1j * 0.5 * quad * w**2) * grid.spacing
-    phases = np.exp(1j * np.outer(taus, w)) * static
-    overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
-    probs = 0.5 - 0.5 * np.einsum(
-        "tnm,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights
-    )
+    dtau = (cfg.tau_max - cfg.tau_min) / (cfg.n_steps - 1)
+    probs = _probabilities(state1, state2, delta_beta_l, cfg.tau_min, dtau, cfg.n_steps)
     return InterferenceScan(taus=taus, probabilities=probs)
 
 

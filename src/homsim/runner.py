@@ -199,8 +199,7 @@ def _run_visibility_curve(sc: Scenario, out: Path, base: str) -> list[str]:
     explicit_cfg = None
     if sc.scan is not None:
         explicit_cfg = ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)
-    # The curve keeps the default truncation, whatever the scenario's.
-    decomp = schmidt_decompose(_filtered_jsa(sc))
+    decomp = schmidt_decompose(_filtered_jsa(sc), **_truncation_kwargs(sc))
     mixed, pure = (
         visibility_curve(state, beta, length_1, deltas, explicit_cfg)
         for state in (herald(decomp), postulate_pure_state(decomp))

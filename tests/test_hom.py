@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import hom, runner
 from homsim.dispersion import DispersiveElement, apply_dispersion
@@ -58,6 +60,26 @@ def random_state(grid, rank, rng, envelope=0.35) -> HeraldedState:
     )
     w = rng.uniform(0.2, 1.0, size=rank)
     return HeraldedState(weights=w / w.sum(), modes=modes)
+
+
+def einsum_scan(state1, state2, delta_beta_l, cfg) -> np.ndarray:
+    """Oracle: the direct sum over the T x N phase matrix, all delays at once."""
+    quad = hom._resolve_quadratic_phase(state1, state2, delta_beta_l)
+    grid = state1.grid
+    w = grid.detunings
+    m1 = hom._mode_matrix(state1)
+    m2c = hom._mode_matrix(state2).conj()
+    static = np.exp(1j * 0.5 * quad * w**2) * grid.spacing
+    phases = np.exp(1j * np.outer(cfg.taus(), w)) * static
+    overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
+    return 0.5 - 0.5 * np.einsum(
+        "tnm,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights
+    )
+
+
+def preset_decomposition(name):
+    sc = load_preset(name)
+    return schmidt_decompose(runner._filtered_jsa(sc), **runner._truncation_kwargs(sc))
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +179,91 @@ def test_scan_matches_pointwise_probabilities(pipeline_state):
     cfg = ScanConfig(-900.0, 900.0, 7)
     delta = BETA * 1000.0
     result = scan(pipeline_state, pipeline_state, delta, cfg)
-    for tau, p in zip(result.taus, result.probabilities):
-        assert p == pytest.approx(
-            coincidence_probability(pipeline_state, pipeline_state, delta, float(tau)),
-            abs=1e-14,
-        )
+    oracle = einsum_scan(pipeline_state, pipeline_state, delta, cfg)
+    for p, expected in zip(result.probabilities, oracle):
+        assert p == pytest.approx(expected, abs=1e-14)
+
+
+def _pipeline_states(n_points, signal_fwhm_nm):
+    grid = make_grid(780.0, 10.0, 4.0, n_points)
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
+    jsa = apply_filters(
+        jsa, BandpassFilter(780.0, signal_fwhm_nm), BandpassFilter(780.0, 10.0)
+    )
+    decomp = schmidt_decompose(jsa)
+    return herald(decomp), postulate_pure_state(decomp)
+
+
+@pytest.fixture(scope="module")
+def state_pairs():
+    """Pairs of different states, mostly of different Schmidt rank, N even and odd."""
+    fig1c, fig2a = preset_decomposition("fig1c"), preset_decomposition("fig2a")
+    odd_mixed, odd_pure = _pipeline_states(255, 4.0)
+    wide_mixed, _ = _pipeline_states(255, 10.0)
+    return [
+        (herald(fig2a), herald(fig1c)),
+        (herald(fig1c), postulate_pure_state(fig2a)),
+        (postulate_pure_state(fig1c), herald(fig2a)),
+        (odd_mixed, wide_mixed),
+        (wide_mixed, odd_pure),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.integers(0, 4),
+    n_steps=st.sampled_from([3, 4, 241, 2001]),
+    tau_min=st.floats(-6000.0, 2000.0),
+    width=st.floats(50.0, 12000.0),
+    delta_beta_l=st.one_of(
+        st.sampled_from([0.0, 94505.0, 831644.0]), st.floats(-1e6, 1e6)
+    ),
+    picks=st.lists(st.integers(0, 2000), min_size=3, max_size=3),
+)
+def test_scan_matches_oracles(state_pairs, pair, n_steps, tau_min, width, delta_beta_l, picks):
+    state1, state2 = state_pairs[pair]
+    cfg = ScanConfig(tau_min, tau_min + width, n_steps)
+    result = scan(state1, state2, delta_beta_l, cfg)
+    oracle = einsum_scan(state1, state2, delta_beta_l, cfg)
+    assert np.max(np.abs(result.probabilities - oracle)) <= 1e-13
+    for t in {0, n_steps - 1, *(i % n_steps for i in picks)}:
+        expected = coincidence_probability_oracle(state1, state2, delta_beta_l, result.taus[t])
+        assert abs(result.probabilities[t] - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("n_steps", [3, 4, 11])
+def test_coarse_scans_keep_full_accuracy(n_steps):
+    # Coarse delay steps make the chirp phases alpha*k^2/2 reach ~1e5 rad,
+    # where a double-precision phase alone is off by ~1e-11 rad; the chirps
+    # are reduced mod 2 pi exactly, so the scan still matches to ~1e-15.
+    decomp = preset_decomposition("fig2a")
+    cfg = ScanConfig(-6000.0, 18000.0, n_steps)
+    for state2 in (herald(decomp), postulate_pure_state(decomp)):
+        for delta_beta_l in (0.0, 94505.0, 831644.0):
+            result = scan(herald(decomp), state2, delta_beta_l, cfg)
+            oracle = einsum_scan(herald(decomp), state2, delta_beta_l, cfg)
+            assert np.max(np.abs(result.probabilities - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("preset", ["fig1c", "fig2a"])
+@pytest.mark.parametrize("delta_beta_l", [0.0, 94505.0, 189010.0])
+def test_scan_obeys_dip_area_sum_rule(preset, delta_beta_l):
+    # Over one alias period 2 pi/dw, sampled at T >= N delays, Parseval makes
+    # sum_t (1/2 - P(tau_t)) dtau = pi sum_k rho(w_k, w_k)^2 dw exactly,
+    # whatever the dispersion and wherever the window starts.
+    decomp = preset_decomposition(preset)
+    for state in (herald(decomp), postulate_pure_state(decomp)):
+        grid = state.grid
+        n_steps = grid.n_points + 89
+        dtau = 2.0 * math.pi / (n_steps * grid.spacing)
+        for tau_min in (-0.5 * n_steps * dtau, -1234.5):
+            cfg = ScanConfig(tau_min, tau_min + (n_steps - 1) * dtau, n_steps)
+            probs = scan(state, state, delta_beta_l, cfg).probabilities
+            diagonal = sum(
+                w * np.abs(m.amplitudes) ** 2 for w, m in zip(state.weights, state.modes)
+            )
+            expected = math.pi * np.sum(diagonal**2) * grid.spacing
+            assert np.sum(0.5 - probs) * dtau == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_matched_fiber_scans_are_identical(pipeline_state):
@@ -264,7 +366,7 @@ def _preset_scans(name):
     sc = load_preset(name)
     jsa = runner._filtered_jsa(sc)
     if sc.mode == "visibility-curve":
-        decomp = schmidt_decompose(jsa)
+        decomp = schmidt_decompose(jsa, **runner._truncation_kwargs(sc))
         beta = sc.dispersion.beta_fs2_per_mm
         return [
             scan(state, state, beta * dl, runner._scan_config(sc, beta * dl))

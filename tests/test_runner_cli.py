@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 import homsim
 from homsim.cli import main
 from homsim.runner import run
-from homsim.scenario import load_preset, parse_scenario
+from homsim.scenario import load_preset, parse_scenario, scenario_from_dict
 
 NETWORK_SIM = {
     "name": "cascade-sim",
@@ -108,6 +109,17 @@ def test_visibility_curve_run(tmp_path):
     assert [r[0] for r in rows] == [0.0, 500.0, 1000.0, 1500.0, 2500.0, 3500.0, 5000.0]
     vis_mixed = [r[1] for r in rows]
     assert all(a > b for a, b in zip(vis_mixed, vis_mixed[1:]))
+
+
+def test_visibility_curve_honours_truncation(tmp_path):
+    # Keeping one Schmidt mode makes the heralded state pure, so the mixed
+    # columns of the curve must equal the pure ones.
+    data = load_preset("fig3").model_dump(mode="json")
+    data["truncation"] = {"kind": "rank", "value": 1}
+    run(scenario_from_dict(data), out_dir=tmp_path)
+    lines = (tmp_path / "fig3_curve.csv").read_text().splitlines()[1:]
+    rows = np.array([list(map(float, line.split(","))) for line in lines])
+    assert np.max(np.abs(rows[:, 1:3] - rows[:, 3:5])) <= 1e-12
 
 
 def test_network_check_run(tmp_path):
