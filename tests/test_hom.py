@@ -82,12 +82,19 @@ def preset_decomposition(name):
     return schmidt_decompose(runner._filtered_jsa(sc), **runner._truncation_kwargs(sc))
 
 
+def _pipeline_states(n_points, signal_fwhm_nm):
+    grid = make_grid(780.0, 10.0, 4.0, n_points)
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
+    jsa = apply_filters(
+        jsa, BandpassFilter(780.0, signal_fwhm_nm), BandpassFilter(780.0, 10.0)
+    )
+    decomp = schmidt_decompose(jsa)
+    return herald(decomp), postulate_pure_state(decomp)
+
+
 @pytest.fixture(scope="module")
 def pipeline_state():
-    grid = make_grid(780.0, 10.0, 4.0, 512)
-    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
-    jsa = apply_filters(jsa, BandpassFilter(780.0, 10.0), BandpassFilter(780.0, 10.0))
-    return herald(schmidt_decompose(jsa))
+    return _pipeline_states(512, 10.0)[0]
 
 
 @pytest.fixture(scope="module")
@@ -182,16 +189,6 @@ def test_scan_matches_pointwise_probabilities(pipeline_state):
     oracle = einsum_scan(pipeline_state, pipeline_state, delta, cfg)
     for p, expected in zip(result.probabilities, oracle):
         assert p == pytest.approx(expected, abs=1e-14)
-
-
-def _pipeline_states(n_points, signal_fwhm_nm):
-    grid = make_grid(780.0, 10.0, 4.0, n_points)
-    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
-    jsa = apply_filters(
-        jsa, BandpassFilter(780.0, signal_fwhm_nm), BandpassFilter(780.0, 10.0)
-    )
-    decomp = schmidt_decompose(jsa)
-    return herald(decomp), postulate_pure_state(decomp)
 
 
 @pytest.fixture(scope="module")
