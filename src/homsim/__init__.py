@@ -48,7 +48,6 @@ from .network import (
     cascade_network,
     outcome_probabilities,
     three_photon_coincidence,
-    three_photon_coincidence_mixed,
 )
 from .scenario import Scenario, list_presets, load_preset, parse_scenario
 from .schmidt import (

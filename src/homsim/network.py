@@ -1,23 +1,41 @@
-"""Multi-path linear interferometer: dispersion bookkeeping and small-N
-coincidence simulation.
+"""Multi-path linear interferometer: dispersion bookkeeping and n-photon
+coincidence probabilities.
 
 A network is a DAG of sources, 2x2 beam splitters and detectors.  Edges may
 carry a dispersive element; a photon path accumulates the sum of beta*L over
 its edges.  Dispersion cancels from every interference observable exactly
 when, at each beam splitter, all arriving paths carry equal accumulated
-beta*L - the condition checked by :func:`check_cancellation`.
+beta*L - the condition checked by :func:`check_cancellation`.  One walk over
+the graph (:func:`_walk`) gives both that bookkeeping and the transfer terms
+of the simulation.
 
-Coincidence probabilities for two or three independent pure photons are
-evaluated from first principles: the amplitude for a frequency assignment is
-the permanent-structured sum over photon-to-detector permutations of the
-composed transfer coefficients, and the outcome probability is the triple
-(double) quadrature of its squared magnitude.
+Photon s reaches detector d with the port vector
+V_{d,s}(w) = t_{d,s}(w) phi_s(w) e^{i w tau_s}, where t_{d,s} sums the
+products of unitary entries times e^{-i beta*L w^2 / 2} over the paths from
+s to d.  Put one photon on each detection row k, at detector p_k.  The
+probability of the count pattern m is the n-fold frequency integral of
+|sum_sigma prod_k V_{p_k, sigma(k)}(w_k)|^2 / prod_d m_d!.  Expanding the
+square factors it into one-dimensional integrals, the Gram matrices
+G_d = dw V_d^dagger V_d of each detector's port vectors:
+
+    P(m) = sum_{sigma, sigma'} prod_k G_{p_k}[sigma(k), sigma'(k)] / prod_d m_d!
+
+(Shchesnovich, PRA 91, 013844 (2015); Tichy, PRA 91, 022316 (2015)).  On the
+same grid it equals the quadrature up to rounding, at a cost of
+n!^2 n per pattern plus D n^2 K for the Gram matrices (D detectors, K grid
+points), against n! K^n per pattern for the quadrature.  That quadrature is
+kept as the test oracle in ``tests/test_network.py``.  A heralded input is
+linear in each photon's density matrix, so its probability is the weighted
+sum over the R^n tuples of Schmidt modes; one Gram matrix per detector over
+all (source, mode) vectors serves every tuple.  n!^2 limits the photon
+number to ``MAX_PHOTONS``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -27,6 +45,9 @@ from .dispersion import DispersiveElement
 from .errors import InvalidArgumentError, InvalidNetworkError, UnsupportedNetworkError
 from .schmidt import HeraldedState
 from .spectral import SpectralFunction
+
+MAX_PHOTONS = 6  # 518400 permutation pairs per pattern at n = 6
+_PAIR_PRODUCTS_PER_STEP = 1 << 18  # bounds the memory of one numpy step
 
 
 def splitter_50_50() -> np.ndarray:
@@ -216,6 +237,46 @@ class NetworkSpec:
         raise InvalidArgumentError(f"unknown source {source_id!r}")
 
 
+def _walk(
+    net: NetworkSpec,
+) -> tuple[list[PathDispersion], dict[tuple[str, str], list[tuple[complex, float]]]]:
+    """The one depth-first walk over every source -> detector path.
+
+    Returns the accumulated beta*L on arrival at each beam splitter, one
+    :class:`PathDispersion` per distinct path in walk order, and per
+    (detector, source) the (amplitude coefficient, beta*L) term of every path
+    that ends at that detector.  The coefficient is the product of the
+    unitary entries met on the way.
+    """
+    paths: list[PathDispersion] = []
+    terms: dict[tuple[str, str], list[tuple[complex, float]]] = {}
+
+    def visit(
+        endpoint: str, coeff: complex, acc: float, via: tuple[str, ...], source_id: str
+    ) -> None:
+        edge = net._edges_from[endpoint]
+        acc += edge.beta_l
+        node, _, port = edge.end.partition(".")
+        bs = net._bs_by_id.get(node)
+        if bs is None:  # a detector ends the path
+            terms.setdefault((node, source_id), []).append((coeff, acc))
+            return
+        paths.append(PathDispersion(source_id, node, acc, via))
+        in_idx = 0 if port == "in0" else 1
+        for out_idx in (0, 1):
+            visit(
+                f"{node}.out{out_idx}",
+                coeff * complex(bs.unitary[out_idx, in_idx]),
+                acc,
+                via + (node,),
+                source_id,
+            )
+
+    for s in net.sources:
+        visit(s.id, 1.0 + 0.0j, 0.0, (), s.id)
+    return paths, terms
+
+
 def accumulated_dispersion(net: NetworkSpec) -> list[PathDispersion]:
     """Accumulated beta*L per source -> beam-splitter path.
 
@@ -224,24 +285,16 @@ def accumulated_dispersion(net: NetworkSpec) -> list[PathDispersion]:
     separately); the accumulation is the sum of beta*L over the edges up to
     that beam splitter's input.
     """
-    out: list[PathDispersion] = []
+    return _walk(net)[0]
 
-    def walk(endpoint: str, acc: float, via: tuple[str, ...], source_id: str) -> None:
-        edge = net._edges_from.get(endpoint)
-        if edge is None:  # endpoint is a detector-facing port; validation forbids this
-            return
-        acc += edge.beta_l
-        target = edge.end
-        node = target.split(".")[0]
-        if node in net._bs_by_id:
-            out.append(PathDispersion(source_id, node, acc, via))
-            for port in (f"{node}.out0", f"{node}.out1"):
-                walk(port, acc, via + (node,), source_id)
-        # detectors terminate the path
 
-    for s in net.sources:
-        walk(s.id, 0.0, (), s.id)
-    return out
+def detector_dispersion_spread(net: NetworkSpec) -> float:
+    """Largest difference of accumulated beta*L (fs^2) between two
+    source -> detector paths that end at the same detector."""
+    by_detector: dict[str, list[float]] = {}
+    for (detector, _), path_terms in _walk(net)[1].items():
+        by_detector.setdefault(detector, []).extend(beta_l for _, beta_l in path_terms)
+    return max((max(b) - min(b) for b in by_detector.values()), default=0.0)
 
 
 def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> CancellationReport:
@@ -266,134 +319,120 @@ def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> Cancellatio
     )
 
 
-def _transfer_terms(net: NetworkSpec) -> dict[tuple[str, str], list[tuple[complex, float]]]:
-    """Per (detector, source): list of (amplitude coefficient, beta*L) path terms."""
-    terms: dict[tuple[str, str], list[tuple[complex, float]]] = {}
-    detector_ids = {d.id for d in net.detectors}
-
-    def walk(endpoint: str, coeff: complex, acc: float, source_id: str) -> None:
-        edge = net._edges_from.get(endpoint)
-        if edge is None:
-            return
-        acc += edge.beta_l
-        target = edge.end
-        node, _, port = target.partition(".")
-        if node in detector_ids:
-            terms.setdefault((node, source_id), []).append((coeff, acc))
-            return
-        bs = net._bs_by_id[node]
-        in_idx = 0 if port == "in0" else 1
-        for out_idx in (0, 1):
-            walk(
-                f"{node}.out{out_idx}",
-                coeff * complex(bs.unitary[out_idx, in_idx]),
-                acc,
-                source_id,
-            )
-
-    for s in net.sources:
-        walk(s.id, 1.0 + 0.0j, 0.0, s.id)
-    return terms
-
-
-def _port_vectors(
+def _resolve_inputs(
     net: NetworkSpec,
-    modes: dict[str, SpectralFunction],
-    delays: dict[str, float],
-) -> dict[tuple[str, str], np.ndarray]:
-    """V[(detector, source)](w) = t_{d,s}(w) phi_s(w) e^{i w tau_s} on the grid."""
-    grid = next(iter(modes.values())).grid
-    for m in modes.values():
-        grid.require_same(m.grid)
+    inputs: Sequence[SpectralFunction | HeraldedState],
+    delays,
+) -> tuple[list[HeraldedState], list[float]]:
+    """One state per source (a pure mode becomes a rank-1 state) and the
+    source delays, both in source order."""
+    n = len(net.sources)
+    if len(inputs) != n:
+        raise InvalidArgumentError(
+            f"expected {n} photon inputs for {n} sources, got {len(inputs)}"
+        )
+    states = [
+        x if isinstance(x, HeraldedState) else HeraldedState(np.array([1.0]), (x,))
+        for x in inputs
+    ]
+    for st in states:
+        for m in st.modes:
+            states[0].grid.require_same(m.grid)
+    if delays is None:
+        return states, [s.delay for s in net.sources]
+    if len(delays) != n:
+        raise InvalidArgumentError(f"expected {n} delays, got {len(delays)}")
+    return states, [float(t) for t in delays]
+
+
+def _gram_matrices(
+    net: NetworkSpec, states: list[HeraldedState], delays: list[float]
+) -> np.ndarray:
+    """G[d] = dw V_d^dagger V_d over every (source, mode) port vector
+    V_d(w) = t_{d,s}(w) phi(w) e^{i w tau_s}, columns in source-then-mode
+    order; shape (detectors, modes, modes)."""
+    grid = states[0].grid
     w = grid.detunings
-    terms = _transfer_terms(net)
-    vectors: dict[tuple[str, str], np.ndarray] = {}
-    for d in net.detectors:
-        for s in net.sources:
+    _, terms = _walk(net)
+    shifts = [np.exp(1j * w * tau) for tau in delays]
+    n_columns = sum(len(st.modes) for st in states)
+    vectors = np.empty((len(net.detectors), n_columns, len(w)), dtype=complex)
+    for i, d in enumerate(net.detectors):
+        col = 0
+        for s, st, shift in zip(net.sources, states, shifts):
             t = np.zeros(len(w), dtype=complex)
             for coeff, beta_l in terms.get((d.id, s.id), ()):
                 t = t + coeff * np.exp(-0.5j * beta_l * w**2)
-            vectors[(d.id, s.id)] = (
-                t * modes[s.id].amplitudes * np.exp(1j * w * delays[s.id])
-            )
-    return vectors
-
-
-def _resolve_inputs(
-    net: NetworkSpec,
-    pure_modes,
-    delays,
-) -> tuple[dict[str, SpectralFunction], dict[str, float]]:
-    n = len(net.sources)
-    if len(pure_modes) != n:
-        raise InvalidArgumentError(
-            f"expected {n} photon modes for {n} sources, got {len(pure_modes)}"
-        )
-    mode_map = {s.id: m for s, m in zip(net.sources, pure_modes)}
-    if delays is None:
-        delay_map = {s.id: s.delay for s in net.sources}
-    else:
-        if len(delays) != n:
-            raise InvalidArgumentError(f"expected {n} delays, got {len(delays)}")
-        delay_map = {s.id: float(t) for s, t in zip(net.sources, delays)}
-    return mode_map, delay_map
+            for m in st.modes:
+                vectors[i, col] = t * m.amplitudes * shift
+                col += 1
+    return grid.spacing * (vectors.conj() @ vectors.transpose(0, 2, 1))
 
 
 def outcome_probabilities(
     net: NetworkSpec,
-    pure_modes,
+    inputs: Sequence[SpectralFunction | HeraldedState],
     delays=None,
 ) -> dict[tuple[int, ...], float]:
     """Probability of every photon-count pattern over the detector ports.
 
-    ``pure_modes`` are normalized single-photon amplitudes, one per source in
-    source order; ``delays`` likewise (source-node delays when omitted).
-    Patterns are tuples of counts in detector order; for a lossless network
-    the probabilities sum to 1.
+    ``inputs`` holds one photon per source, in source order: a normalized
+    :class:`SpectralFunction` (pure) or a :class:`HeraldedState` of any rank.
+    ``delays`` likewise (source-node delays when omitted).  Patterns are
+    tuples of counts in detector order; for a lossless network the
+    probabilities sum to 1.  Networks of 2 to ``MAX_PHOTONS`` sources are
+    supported.
     """
     n = len(net.sources)
-    if n not in (2, 3):
+    if not 2 <= n <= MAX_PHOTONS:
         raise UnsupportedNetworkError(
-            f"coincidence simulation supports 2 or 3 photons, network has {n} sources"
+            f"coincidence simulation supports 2 to {MAX_PHOTONS} photons, "
+            f"network has {n} sources"
         )
-    mode_map, delay_map = _resolve_inputs(net, pure_modes, delays)
-    vectors = _port_vectors(net, mode_map, delay_map)
-    grid = next(iter(mode_map.values())).grid
-    source_ids = [s.id for s in net.sources]
-    detector_ids = [d.id for d in net.detectors]
+    states, delay_list = _resolve_inputs(net, inputs, delays)
+    gram = _gram_matrices(net, states, delay_list)
+
+    # Mode tuples (one Schmidt mode per source) as Gram columns, with weights.
+    offsets = np.cumsum([0] + [len(st.modes) for st in states[:-1]])
+    tuples = offsets + np.array(
+        list(itertools.product(*(range(len(st.modes)) for st in states)))
+    )
+    weights = reduce(np.multiply.outer, [st.weights for st in states]).ravel()
+    perms = np.array(list(itertools.permutations(range(n))))
+    # rows[t, a, k]: Gram column of the photon that permutation a puts on row k.
+    rows = tuples[:, perms]
+    detections = list(itertools.combinations_with_replacement(range(len(net.detectors)), n))
+    at = np.array(detections)  # at[p, k]: detector of row k
+
+    # Every (pattern, tuple) pair sums n!^2 products; chunks bound the memory.
+    n_tuples = len(tuples)
+    sums = np.empty(len(detections) * n_tuples, dtype=complex)
+    step = max(1, _PAIR_PRODUCTS_PER_STEP // len(perms) ** 2)
+    for start in range(0, len(sums), step):
+        c = np.arange(start, min(start + step, len(sums)))
+        d, r = at[c // n_tuples], rows[c % n_tuples]
+        prod = gram[d[:, 0, None, None], r[:, :, None, 0], r[:, None, :, 0]]
+        for k in range(1, n):
+            prod = prod * gram[d[:, k, None, None], r[:, :, None, k], r[:, None, :, k]]
+        sums[c] = prod.sum(axis=(1, 2))
+    values = sums.real.reshape(len(detections), n_tuples) @ weights
 
     probs: dict[tuple[int, ...], float] = {}
-    for counts in itertools.combinations_with_replacement(range(len(detector_ids)), n):
-        ports = [detector_ids[i] for i in counts]
-        pattern = tuple(counts.count(i) for i in range(len(detector_ids)))
-        probs[pattern] = _pattern_probability(vectors, grid, source_ids, ports)
+    for counts, value in zip(detections, values):
+        pattern = tuple(counts.count(i) for i in range(len(net.detectors)))
+        probs[pattern] = float(value) / math.prod(math.factorial(m) for m in pattern)
     return probs
-
-
-def _pattern_probability(vectors, grid, source_ids, ports) -> float:
-    """Quadrature of |sum over permutations of row-vector products|^2 for one
-    detection pattern; ``ports`` lists a detector id per photon row."""
-    n = len(source_ids)
-    amp = None
-    for perm in itertools.permutations(range(n)):
-        vecs = [vectors[(ports[k], source_ids[perm[k]])] for k in range(n)]
-        term = reduce(np.multiply.outer, vecs)
-        amp = term if amp is None else amp + term
-    norm = 1.0
-    for port in set(ports):
-        norm /= math.factorial(ports.count(port))
-    return float(np.sum(np.abs(amp) ** 2)) * grid.spacing**n * norm
 
 
 def three_photon_coincidence(
     net: NetworkSpec,
-    pure_modes,
+    inputs: Sequence[SpectralFunction | HeraldedState],
     delays=None,
 ) -> float:
     """Probability of one photon at each detector at the three outputs of the two-splitter cascade.
 
     Requires three sources, two cascaded 2x2 beam splitters and three
-    detectors, with pure (single-mode) photon inputs.
+    detectors; inputs and delays are as for :func:`outcome_probabilities`.
     """
     if (
         len(net.sources) != 3
@@ -404,41 +443,7 @@ def three_photon_coincidence(
             "three-photon simulation requires 3 sources, 2 beam splitters "
             "and 3 detectors"
         )
-    for m in pure_modes:
-        if isinstance(m, HeraldedState):
-            raise UnsupportedNetworkError(
-                "mixed heralded inputs are not supported here; use "
-                "three_photon_coincidence_mixed"
-            )
-    mode_map, delay_map = _resolve_inputs(net, pure_modes, delays)
-    vectors = _port_vectors(net, mode_map, delay_map)
-    grid = next(iter(mode_map.values())).grid
-    return _pattern_probability(
-        vectors, grid, [s.id for s in net.sources], [d.id for d in net.detectors]
-    )
-
-
-def three_photon_coincidence_mixed(
-    net: NetworkSpec,
-    states,
-    delays=None,
-) -> float:
-    """Experimental: mixed heralded inputs by convex combination over
-    Schmidt-mode triples.  Each state must have rank <= 3 (cost grows as the
-    product of the ranks)."""
-    if len(states) != 3:
-        raise InvalidArgumentError(f"expected 3 states, got {len(states)}")
-    for st in states:
-        if len(st.modes) > 3:
-            raise UnsupportedNetworkError(
-                f"mixed three-photon inputs limited to rank <= 3, got {len(st.modes)}"
-            )
-    total = 0.0
-    for i, j, k in itertools.product(*(range(len(st.modes)) for st in states)):
-        weight = states[0].weights[i] * states[1].weights[j] * states[2].weights[k]
-        modes = (states[0].modes[i], states[1].modes[j], states[2].modes[k])
-        total += weight * three_photon_coincidence(net, modes, delays)
-    return total
+    return outcome_probabilities(net, inputs, delays)[(1, 1, 1)]
 
 
 def cascade_network(

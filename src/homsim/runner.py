@@ -7,6 +7,7 @@ the manifest back to ``run`` reproduces those files byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import yaml
 
 from . import __version__, io
+from .constants import GAUSSIAN_TIME_BANDWIDTH
 from .dispersion import DispersiveElement, broadened_duration
 from .errors import InvalidArgumentError
 from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
@@ -24,6 +26,8 @@ from .network import (
     NetworkSpec,
     SourceNode,
     check_cancellation,
+    detector_dispersion_spread,
+    outcome_probabilities,
     three_photon_coincidence,
 )
 from .scenario import NetworkConfig, Scenario
@@ -48,6 +52,10 @@ from .spectral import (
     gaussian_mode,
     make_grid,
 )
+
+NETWORK_MIN_POINTS = 48
+# Numerical-health threshold on |sum of network outcome probabilities - 1|.
+PROBABILITY_SUM_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -126,6 +134,34 @@ def build_network(cfg: NetworkConfig) -> NetworkSpec:
             element = None
         edges.append(NetworkEdge(e.start, e.end, element))
     return NetworkSpec(sources, splitters, detectors, edges)
+
+
+def _network_grid_points(cfg: NetworkConfig) -> int:
+    """Default network grid size K (at least ``NETWORK_MIN_POINTS``).
+
+    The grid's alias period 2*pi/dw must be twice the broadened wavepacket's
+    extent: the largest beta*L spread into one detector times the photon's
+    FWHM bandwidth, plus the spread of the source delays (the delay scan's
+    range included) and the coherence time.  Twice, because the Gaussian
+    tails reach past that FWHM-based extent.
+    """
+    width = fwhm_wavelength_to_angular(
+        cfg.photon_bandwidth_fwhm_nm, cfg.grid.center_wavelength_nm
+    )
+    delays = [s.delay_fs for s in cfg.sources]
+    if cfg.delay_scan is not None:
+        delays += [cfg.delay_scan.min_fs, cfg.delay_scan.max_fs]
+    extent = (
+        detector_dispersion_spread(build_network(cfg)) * width
+        + (max(delays, default=0.0) - min(delays, default=0.0))
+        + 2.0 * math.pi * GAUSSIAN_TIME_BANDWIDTH / width
+    )
+    # make_grid spans 2 * span_factor * (reference FWHM) over K - 1 steps, so
+    # 2*pi/dw >= 2 * extent means K - 1 >= span * extent / pi.
+    span = 2.0 * cfg.grid.span_factor * fwhm_wavelength_to_angular(
+        cfg.grid.reference_bandwidth_fwhm_nm, cfg.grid.center_wavelength_nm
+    )
+    return max(NETWORK_MIN_POINTS, math.ceil(1.0 + span * extent / math.pi))
 
 
 def _scan_config(sc: Scenario, delta_beta_l: float) -> ScanConfig:
@@ -222,7 +258,7 @@ def _run_network_check(sc: Scenario, out: Path, base: str) -> list[str]:
     return [name]
 
 
-def _run_network_sim(sc: Scenario, out: Path, base: str) -> list[str]:
+def _run_network_sim(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
     cfg = sc.network
     net = build_network(cfg)
     grid = make_grid(
@@ -237,9 +273,16 @@ def _run_network_sim(sc: Scenario, out: Path, base: str) -> list[str]:
     modes = [gaussian_mode(grid, width) for _ in net.sources]
     delays = [s.delay for s in net.sources]
     p = three_photon_coincidence(net, modes, delays)
+    sum_error = sum(outcome_probabilities(net, modes, delays).values()) - 1.0
+    if abs(sum_error) > PROBABILITY_SUM_TOLERANCE:
+        warnings.append(
+            f"network outcome probabilities sum to {1.0 + sum_error:.12g}, "
+            f"{abs(sum_error):.3g} away from 1 (more than {PROBABILITY_SUM_TOLERANCE:g})"
+        )
     report = check_cancellation(net, tolerance=cfg.tolerance_fs2)
     payload = {
         "coincidence_probability": p,
+        "outcome_probability_sum_error": sum_error,
         "delays_fs": {s.id: s.delay for s in net.sources},
         "cancellation": report.to_json_dict(),
         "grid_points": cfg.grid.n_points,
@@ -293,6 +336,8 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     out = Path(resolved.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     base = resolved.output.basename
+    if resolved.network is not None and resolved.network.grid.n_points is None:
+        resolved.network.grid.n_points = _network_grid_points(resolved.network)
 
     warnings: list[str] = []
     if resolved.mode == "two-photon-scan":
@@ -302,7 +347,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     elif resolved.mode == "network-check":
         files = _run_network_check(resolved, out, base)
     elif resolved.mode == "network-sim":
-        files = _run_network_sim(resolved, out, base)
+        files = _run_network_sim(resolved, out, base, warnings)
     else:
         files = _run_broadening(resolved, out, base)
 

@@ -106,7 +106,8 @@ class NetworkEdgeConfig(_StrictModel):
 
 class NetworkGridConfig(_StrictModel):
     center_wavelength_nm: float = Field(780.0, gt=0)
-    n_points: int = Field(48, ge=8)
+    # None: the runner derives it from the network and writes it to the manifest.
+    n_points: int | None = Field(None, ge=8)
     span_factor: float = Field(4.0, ge=2)
     reference_bandwidth_fwhm_nm: float = Field(10.0, gt=0)
 

@@ -1,5 +1,11 @@
+import itertools
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim.dispersion import DispersiveElement, apply_dispersion
 from homsim.errors import InvalidNetworkError, UnsupportedNetworkError
@@ -13,9 +19,9 @@ from homsim.network import (
     accumulated_dispersion,
     check_cancellation,
     cascade_network,
+    detector_dispersion_spread,
     outcome_probabilities,
     three_photon_coincidence,
-    three_photon_coincidence_mixed,
 )
 from homsim.schmidt import HeraldedState
 from homsim.spectral import SpectralFunction, gaussian_mode, make_grid
@@ -30,6 +36,91 @@ DELAY_GRID = [
     (75.0, 0.0, -30.0),
     (150.0, 0.0, 75.0),
 ]
+
+
+def oracle_transfer_terms(net):
+    """Per (detector, source): (amplitude coefficient, beta*L) of every path,
+    from a walk of its own."""
+    terms = {}
+    detector_ids = {d.id for d in net.detectors}
+    edges_from = {e.start: e for e in net.edges}
+    splitters = {b.id: b for b in net.beam_splitters}
+
+    def walk(endpoint, coeff, acc, source_id):
+        edge = edges_from[endpoint]
+        acc += edge.beta_l
+        node, _, port = edge.end.partition(".")
+        if node in detector_ids:
+            terms.setdefault((node, source_id), []).append((coeff, acc))
+            return
+        in_idx = 0 if port == "in0" else 1
+        for out_idx in (0, 1):
+            walk(
+                f"{node}.out{out_idx}",
+                coeff * complex(splitters[node].unitary[out_idx, in_idx]),
+                acc,
+                source_id,
+            )
+
+    for s in net.sources:
+        walk(s.id, 1.0 + 0.0j, 0.0, s.id)
+    return terms
+
+
+def quadrature_outcomes(net, modes, delays):
+    """The K^n frequency quadrature of every count pattern: the oracle of the
+    Gram-matrix engine.  Pure modes only."""
+    w = modes[0].grid.detunings
+    terms = oracle_transfer_terms(net)
+    vectors = {}
+    for d in net.detectors:
+        for s, mode, tau in zip(net.sources, modes, delays):
+            t = np.zeros(len(w), dtype=complex)
+            for coeff, beta_l in terms.get((d.id, s.id), ()):
+                t = t + coeff * np.exp(-0.5j * beta_l * w**2)
+            vectors[(d.id, s.id)] = t * mode.amplitudes * np.exp(1j * w * tau)
+    n = len(net.sources)
+    detector_ids = [d.id for d in net.detectors]
+    probs = {}
+    for counts in itertools.combinations_with_replacement(range(len(detector_ids)), n):
+        ports = [detector_ids[i] for i in counts]
+        amp = 0.0
+        for perm in itertools.permutations(range(n)):
+            vecs = [vectors[(ports[k], net.sources[perm[k]].id)] for k in range(n)]
+            amp = amp + reduce(np.multiply.outer, vecs)
+        norm = math.prod(math.factorial(ports.count(p)) for p in set(ports))
+        pattern = tuple(counts.count(i) for i in range(len(detector_ids)))
+        probs[pattern] = float(np.sum(np.abs(amp) ** 2)) * modes[0].grid.spacing**n / norm
+    return probs
+
+
+def random_modes(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    envelope = np.exp(-((grid.detunings / (0.5 * grid.detunings[-1])) ** 2))
+    amps = rng.normal(size=(count, grid.n_points)) + 1j * rng.normal(
+        size=(count, grid.n_points)
+    )
+    return [SpectralFunction(grid, a * envelope).normalized() for a in amps]
+
+
+def splitter_unitary(theta, psi, chi, alpha):
+    """General 2x2 unitary
+    e^{i alpha} [[e^{i psi} c, e^{i chi} s], [-e^{-i chi} s, e^{-i psi} c]]."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.exp(1j * alpha) * np.array(
+        [
+            [np.exp(1j * psi) * c, np.exp(1j * chi) * s],
+            [-np.exp(-1j * chi) * s, np.exp(-1j * psi) * c],
+        ]
+    )
+
+
+def assert_matches_oracle(net, modes, delays):
+    engine = outcome_probabilities(net, modes, delays)
+    oracle = quadrature_outcomes(net, modes, delays)
+    assert engine.keys() == oracle.keys()
+    assert max(abs(engine[k] - oracle[k]) for k in oracle) <= 1e-15
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -268,25 +359,130 @@ def test_three_photon_requires_fig5_class(grid48, identical_modes):
             ),
             identical_modes[:1],
         )
-
-
-def test_three_photon_rejects_mixed_inputs(grid48, identical_modes):
-    mixed = HeraldedState(np.array([1.0]), (identical_modes[0],))
-    with pytest.raises(UnsupportedNetworkError):
-        three_photon_coincidence(cascade_network(0, 0, 0, 0), [mixed] * 3)
+    # Seven photons: above the engine's cap, rejected before any numerics.
+    ids = [f"s{k}" for k in range(7)]
+    with pytest.raises(UnsupportedNetworkError, match="2 to 6 photons"):
+        outcome_probabilities(
+            NetworkSpec(
+                sources=[SourceNode(i) for i in ids],
+                beam_splitters=[],
+                detectors=[DetectorNode(f"d{i}") for i in ids],
+                edges=[NetworkEdge(i, f"d{i}") for i in ids],
+            ),
+            [identical_modes[0]] * 7,
+        )
 
 
 def test_mixed_convex_combination_matches_pure_for_rank_one(grid48, identical_modes):
     states = [HeraldedState(np.array([1.0]), (m,)) for m in identical_modes]
     delays = (30.0, 0.0, -45.0)
-    p_mixed = three_photon_coincidence_mixed(cascade_network(X, X, X, 0.0), states, delays)
+    p_mixed = three_photon_coincidence(cascade_network(X, X, X, 0.0), states, delays)
     p_pure = three_photon_coincidence(cascade_network(X, X, X, 0.0), identical_modes, delays)
     assert p_mixed == pytest.approx(p_pure, abs=1e-12)
-    big = HeraldedState(
-        np.full(4, 0.25), tuple(gaussian_mode(grid48, BW * (1 + 0.1 * k)) for k in range(4))
+
+
+CASCADES = {
+    "cond-i": (X, X, X, 0.0),
+    "cond-ii": (X, X, X + 37.802 * 2000.0, 37.802 * 2000.0),
+    "violated": (1e5, 3e4, 0.0, 6e4),
+}
+
+
+@pytest.mark.parametrize("arms", CASCADES.values(), ids=CASCADES.keys())
+def test_engine_matches_quadrature_on_cascade(grid48, arms):
+    # All 10 patterns, the bunched ones included.
+    assert_matches_oracle(
+        cascade_network(*arms), random_modes(grid48, 3, seed=5), (25.0, -10.0, 40.0)
     )
-    with pytest.raises(UnsupportedNetworkError):
-        three_photon_coincidence_mixed(cascade_network(0, 0, 0, 0), [big] * 3)
+
+
+def complex_splitter():
+    return NetworkSpec(
+        sources=[SourceNode("a"), SourceNode("b")],
+        beam_splitters=[BeamSplitterNode("BS", splitter_unitary(0.6, 0.9, -1.3, 0.4))],
+        detectors=[DetectorNode("d1"), DetectorNode("d2")],
+        edges=[
+            NetworkEdge("a", "BS.in0", DispersiveElement(7e4, 1.0)),
+            NetworkEdge("b", "BS.in1", DispersiveElement(2e4, 1.0)),
+            NetworkEdge("BS.out0", "d1", DispersiveElement(3e4, 1.0)),
+            NetworkEdge("BS.out1", "d2"),
+        ],
+    )
+
+
+def mach_zehnder():
+    """Both outputs of a complex splitter recombine at a second one, so the
+    orientation of each unitary (out = U in) shows in the outcomes; on a
+    single splitter it is a phase convention."""
+    return NetworkSpec(
+        sources=[SourceNode("a"), SourceNode("b")],
+        beam_splitters=[
+            BeamSplitterNode("A", splitter_unitary(0.6, 0.9, -1.3, 0.4)),
+            BeamSplitterNode("B", splitter_unitary(1.1, -0.5, 0.7, 0.0)),
+        ],
+        detectors=[DetectorNode("d1"), DetectorNode("d2")],
+        edges=[
+            NetworkEdge("a", "A.in0"),
+            NetworkEdge("b", "A.in1", DispersiveElement(2e4, 1.0)),
+            NetworkEdge("A.out0", "B.in0", DispersiveElement(5e4, 1.0)),
+            NetworkEdge("A.out1", "B.in1"),
+            NetworkEdge("B.out0", "d1"),
+            NetworkEdge("B.out1", "d2"),
+        ],
+    )
+
+
+@pytest.mark.parametrize("build", [complex_splitter, mach_zehnder], ids=["single", "mach-zehnder"])
+def test_engine_matches_quadrature_on_complex_splitter(grid48, build):
+    # splitter_unitary(0.6, ...) has |t|^2 = cos(0.6)^2 = 0.68: not 50:50.
+    assert_matches_oracle(build(), random_modes(grid48, 2, seed=6), (-35.0, 20.0))
+
+
+def test_engine_matches_quadrature_for_four_photons():
+    grid = make_grid(780.0, 10.0, 4.0, 16)
+    net = NetworkSpec(
+        sources=[SourceNode(f"s{k}") for k in range(4)],
+        beam_splitters=[
+            BeamSplitterNode("A", splitter_unitary(0.7, 0.2, 1.1, 0.0)),
+            BeamSplitterNode("B"),
+            BeamSplitterNode("C", splitter_unitary(0.5, -0.8, 0.3, 0.9)),
+        ],
+        detectors=[DetectorNode(f"d{k}") for k in range(4)],
+        edges=[
+            NetworkEdge("s0", "A.in0", DispersiveElement(4e4, 1.0)),
+            NetworkEdge("s1", "A.in1"),
+            NetworkEdge("s2", "B.in0", DispersiveElement(1e4, 1.0)),
+            NetworkEdge("s3", "B.in1"),
+            NetworkEdge("A.out0", "C.in0", DispersiveElement(2e4, 1.0)),
+            NetworkEdge("B.out0", "C.in1"),
+            NetworkEdge("A.out1", "d0"),
+            NetworkEdge("B.out1", "d1"),
+            NetworkEdge("C.out0", "d2", DispersiveElement(5e3, 1.0)),
+            NetworkEdge("C.out1", "d3"),
+        ],
+    )
+    probs = assert_matches_oracle(net, random_modes(grid, 4, seed=7), (0.0, 15.0, -20.0, 5.0))
+    assert len(probs) == 35  # multisets of 4 photons over 4 ports
+
+
+def test_heralded_input_is_convex_combination_of_oracle_values():
+    grid = make_grid(780.0, 10.0, 4.0, 32)
+    rng = np.random.default_rng(8)
+    states = []
+    for seed in (11, 12, 13):
+        w = rng.uniform(0.1, 1.0, size=4)
+        states.append(HeraldedState(w / w.sum(), tuple(random_modes(grid, 4, seed))))
+    net = cascade_network(1e5, 3e4, 0.0, 6e4)
+    delays = (25.0, -10.0, 40.0)
+    expected = {}
+    for idx in itertools.product(range(4), repeat=3):
+        weight = math.prod(s.weights[i] for s, i in zip(states, idx))
+        oracle = quadrature_outcomes(net, [s.modes[i] for s, i in zip(states, idx)], delays)
+        for pattern, p in oracle.items():
+            expected[pattern] = expected.get(pattern, 0.0) + weight * p
+    engine = outcome_probabilities(net, states, delays)
+    assert max(abs(engine[k] - expected[k]) for k in expected) <= 1e-15
+    assert three_photon_coincidence(net, states, delays) == engine[(1, 1, 1)]
 
 
 def test_delay_defaults_come_from_source_nodes(grid48, identical_modes):
@@ -294,3 +490,65 @@ def test_delay_defaults_come_from_source_nodes(grid48, identical_modes):
     p_default = three_photon_coincidence(net, identical_modes)
     p_explicit = three_photon_coincidence(net, identical_modes, (40.0, 0.0, -60.0))
     assert p_default == p_explicit
+
+
+@st.composite
+def random_networks(draw):
+    """A DAG of 2-4 beam splitters with random unitaries, in topological
+    order: each splitter input takes a new source or an open output of an
+    earlier splitter; the outputs left open go to detectors.  With
+    ``balanced`` the splitter-facing edges come from a potential (beta*L on
+    arrival at each splitter), so every splitter sees equal beta*L."""
+    n_bs = draw(st.integers(2, 4))
+    balanced = draw(st.booleans())
+    beta_l = st.sampled_from([0.0, 3e4, 7e4, 1.2e5])
+    potential = [draw(beta_l) for _ in range(n_bs)]
+    sources, edges, open_outputs = [], [], []
+    splitters = []
+    for j in range(n_bs):
+        angles = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+        splitters.append(BeamSplitterNode(f"B{j}", splitter_unitary(*angles)))
+        for port in ("in0", "in1"):
+            if open_outputs and (len(sources) >= 4 or draw(st.booleans())):
+                start = open_outputs.pop(draw(st.integers(0, len(open_outputs) - 1)))
+                before = potential[int(start[1 : start.index(".")])]
+            else:
+                start = f"s{len(sources)}"
+                sources.append(SourceNode(start, draw(st.floats(-200.0, 200.0))))
+                before = 0.0
+            b = potential[j] - before if balanced else draw(beta_l)
+            edges.append(NetworkEdge(start, f"B{j}.{port}", DispersiveElement(b, 1.0)))
+        open_outputs += [f"B{j}.out0", f"B{j}.out1"]
+    detectors = [DetectorNode(f"d{k}") for k in range(len(open_outputs))]
+    for d, start in zip(detectors, open_outputs):
+        edges.append(NetworkEdge(start, d.id, DispersiveElement(draw(beta_l), 1.0)))
+    return NetworkSpec(sources, splitters, detectors, edges)
+
+
+def without_dispersion(net):
+    edges = [NetworkEdge(e.start, e.end) for e in net.edges]
+    return NetworkSpec(list(net.sources), list(net.beam_splitters), list(net.detectors), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=random_networks(), seed=st.integers(0, 2**16))
+def test_random_networks_obey_the_cancellation_rule(net, seed):
+    grid = make_grid(780.0, 10.0, 4.0, 32)
+    modes = random_modes(grid, len(net.sources), seed)
+    probs = outcome_probabilities(net, modes)
+    assert abs(sum(probs.values()) - 1.0) <= 1e-12
+
+    report = check_cancellation(net)
+    if report.satisfied:
+        plain = outcome_probabilities(without_dispersion(net), modes)
+        assert max(abs(probs[k] - plain[k]) for k in probs) <= 1e-12
+
+    # Per splitter equal beta*L <=> equal beta*L on every path into one detector.
+    by_detector = {}
+    for (detector, _), terms in oracle_transfer_terms(net).items():
+        by_detector.setdefault(detector, []).extend(b for _, b in terms)
+    equal_at_detectors = all(
+        max(b) - min(b) <= report.tolerance for b in by_detector.values()
+    )
+    assert report.satisfied == equal_at_detectors
+    assert (detector_dispersion_spread(net) <= report.tolerance) == equal_at_detectors

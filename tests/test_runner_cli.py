@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -140,6 +141,74 @@ def test_network_sim_run(tmp_path):
     scan_lines = (tmp_path / "cascade-sim_delay_scan.csv").read_text().splitlines()
     assert scan_lines[0] == "delay_fs,probability"
     assert len(scan_lines) == 6
+
+
+def cascade_scenario(name, arms_m, n_points=None):
+    """The README cascade with delays (60, 0, -40) fs and fiber arms in metres
+    (s1, s2, s3, A->B connection); the grid size is left unset by default."""
+    beta_per_m = 37802.0
+    scenario = copy.deepcopy(NETWORK_SIM)
+    scenario["name"] = name
+    net = scenario["network"]
+    del net["delay_scan"]
+    if n_points is None:
+        del net["grid"]
+    else:
+        net["grid"]["n_points"] = n_points
+    arm_edges = [("s1", "A.in0"), ("s2", "A.in1"), ("s3", "B.in1"), ("A.out1", "B.in0")]
+    arms = dict(zip(arm_edges, arms_m))
+    for edge in net["edges"]:
+        edge.pop("beta_l_fs2", None)
+        if arms.get((edge["start"], edge["end"])):
+            edge["beta_l_fs2"] = beta_per_m * arms[(edge["start"], edge["end"])]
+    return scenario_from_dict(scenario)
+
+
+@pytest.mark.parametrize(
+    "arms_m, reference",
+    [((6.0, 6.0, 3.5, 0.0), 0.11174), ((6.0, 6.0, 6.0, 3.5), 0.11291)],
+    ids=["third-arm-short", "connection-long"],
+)
+def test_default_network_grid_resolves_dispersion(tmp_path, arms_m, reference):
+    # The references are the K = 768 results; K = 48 was 7-8 % low.
+    run(cascade_scenario("cascade", arms_m), out_dir=tmp_path)
+    payload = json.loads((tmp_path / "cascade_sim.json").read_text())
+    assert payload["coincidence_probability"] == pytest.approx(reference, rel=1e-3)
+    manifest = yaml.safe_load((tmp_path / "cascade_manifest.yaml").read_text())
+    k = manifest["scenario"]["network"]["grid"]["n_points"]
+    assert k == payload["grid_points"] > 48
+    sim_bytes = read(tmp_path / "cascade_sim.json")
+    rerun = tmp_path / "rerun"
+    run(parse_scenario(tmp_path / "cascade_manifest.yaml"), out_dir=rerun)
+    assert read(rerun / "cascade_sim.json") == sim_bytes
+
+
+def test_cancelled_network_keeps_minimum_grid(tmp_path):
+    run(cascade_scenario("cancelled", (6.0, 6.0, 6.0, 0.0)), out_dir=tmp_path)
+    assert json.loads((tmp_path / "cancelled_sim.json").read_text())["grid_points"] == 48
+    run(load_preset("fig5-cond-ii"), out_dir=tmp_path)
+    manifest = yaml.safe_load((tmp_path / "fig5-cond-ii_manifest.yaml").read_text())
+    assert manifest["scenario"]["network"]["grid"]["n_points"] == 48
+
+
+def test_probability_sum_warning_reaches_sim_json_and_stderr(tmp_path, monkeypatch):
+    path = tmp_path / "sim.yaml"
+    path.write_text(yaml.safe_dump(NETWORK_SIM), encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    payload = json.loads((tmp_path / "cascade-sim_sim.json").read_text())
+    assert abs(payload["outcome_probability_sum_error"]) <= 1e-12
+
+    monkeypatch.setattr(
+        "homsim.runner.outcome_probabilities", lambda *args: {(1, 1, 1): 0.5, (3, 0, 0): 0.4}
+    )
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stderr.startswith("warning: network outcome probabilities sum")
+    assert len(result.stderr.splitlines()) == 1
+    payload = json.loads((tmp_path / "cascade-sim_sim.json").read_text())
+    assert payload["outcome_probability_sum_error"] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_broadening_run(tmp_path):
