@@ -9,7 +9,7 @@ audit multi-path networks for dispersion-cancellation conditions.
 
 __version__ = "0.1.0"
 
-from .dispersion import DispersiveElement, apply_dispersion, broadened_duration, gvd_phase
+from .dispersion import DispersiveElement, broadened_duration, gvd_phase
 from .errors import (
     DegenerateFilterError,
     DegenerateStateError,

@@ -14,8 +14,7 @@ import numpy as np
 
 from .constants import FOUR_LN2, GAUSSIAN_TIME_BANDWIDTH
 from .errors import InvalidArgumentError
-from .schmidt import HeraldedState
-from .spectral import SpectralFunction, fwhm_wavelength_to_angular
+from .spectral import fwhm_wavelength_to_angular
 
 
 @dataclass(frozen=True)
@@ -40,25 +39,6 @@ def gvd_phase(detuning, beta_l: float):
     Accepts a scalar or an array of detunings.
     """
     return 0.5 * beta_l * np.square(detuning)
-
-
-def apply_dispersion(state: HeraldedState, element: DispersiveElement) -> HeraldedState:
-    """Multiply every mode by exp(-i * 0.5 * beta*L * W^2).
-
-    Weights are untouched (the phase is unitary) and the state's
-    accumulated_dispersion grows by beta*L.
-    """
-    beta_l = element.beta_l
-    grid = state.grid
-    phase = np.exp(-1j * gvd_phase(grid.detunings, beta_l))
-    modes = tuple(
-        SpectralFunction(grid, m.amplitudes * phase) for m in state.modes
-    )
-    return HeraldedState(
-        weights=state.weights,
-        modes=modes,
-        accumulated_dispersion=state.accumulated_dispersion + beta_l,
-    )
 
 
 def broadened_duration(

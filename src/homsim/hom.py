@@ -7,10 +7,12 @@ The coincidence probability between two independent heralded photons at a
     O_nn' = integral dw  phi1_n(w) conj(phi2_n'(w)) e^{i(0.5*dBL*w^2 + w*tau)},
 
 where dBL = beta1*L1 - beta2*L2 is the *difference* of the accumulated
-dispersion products.  The quadratic phase may be supplied in exactly one of
-two ways: explicitly through ``delta_beta_l`` (states pristine) or implicitly
-through states whose modes already carry their dispersion phase; both routes
-coincide for the parity-symmetric mode functions produced by a symmetric JSA.
+dispersion products, passed to every function here as ``delta_beta_l``; the
+states' modes carry no dispersion phase of their own.  The network module
+puts exp(-i beta*L w^2/2) on each photon instead, so a single splitter with
+arm products b1, b2 gives the value here at delta_beta_l = b2 - b1; for modes
+of definite parity (those of every symmetric JSA) the sign makes no
+difference.
 
 Every probability, one delay or a scan, comes from one overlap routine.  The
 grid w_k = w_0 + k*dw and the delays tau_t = tau_0 + t*dtau are uniform, so
@@ -126,23 +128,6 @@ class DipMetrics:
             raise InvalidArgumentError(f"fwhm must be > 0, got {self.fwhm}")
 
 
-def _resolve_quadratic_phase(
-    state1: HeraldedState, state2: HeraldedState, delta_beta_l: float | None
-) -> float:
-    """Exactly one dispersion source: explicit delta or the states' phases.
-
-    Returns the quadratic-phase coefficient still to be applied in the
-    overlap integrals (zero when the modes already carry their phases).
-    """
-    carried = state1.accumulated_dispersion != 0.0 or state2.accumulated_dispersion != 0.0
-    if delta_beta_l is not None and carried:
-        raise InvalidArgumentError(
-            "dispersion specified twice: explicit delta_beta_l with "
-            "already-dispersed states"
-        )
-    return 0.0 if delta_beta_l is None else float(delta_beta_l)
-
-
 def _mode_matrix(state: HeraldedState) -> np.ndarray:
     return np.array([m.amplitudes for m in state.modes])
 
@@ -178,7 +163,7 @@ def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
 def _probabilities(
     state1: HeraldedState,
     state2: HeraldedState,
-    delta_beta_l: float | None,
+    delta_beta_l: float,
     tau0: float,
     dtau: float,
     n_taus: int,
@@ -193,13 +178,12 @@ def _probabilities(
     phase shared by every mode pair, so |O_nm|^2 does not need it.
     """
     state1.grid.require_same(state2.grid)
-    quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
     grid = state1.grid
     n = grid.n_points
     w = grid.detunings
     turns = grid.spacing * dtau / (4.0 * math.pi)  # alpha/2 in turns
     chirp = _chirp(turns, np.arange(n))
-    chirp *= np.exp(1j * 0.5 * quad * w**2) * np.exp(1j * w * tau0) * grid.spacing
+    chirp *= np.exp(1j * 0.5 * delta_beta_l * w**2) * np.exp(1j * w * tau0) * grid.spacing
     products = (_mode_matrix(state1) * chirp)[:, None, :] * _mode_matrix(state2).conj()
     size = _smooth_length(n + n_taus - 1)
     kernel = np.fft.fft(_chirp(turns, np.arange(1 - n, n_taus)).conj(), size)  # every t - k
@@ -211,7 +195,7 @@ def _probabilities(
 def coincidence_probability(
     state1: HeraldedState,
     state2: HeraldedState,
-    delta_beta_l: float | None,
+    delta_beta_l: float,
     tau: float,
 ) -> float:
     """Coincidence probability at one delay: a one-sample scan."""
@@ -221,7 +205,7 @@ def coincidence_probability(
 def coincidence_probability_oracle(
     state1: HeraldedState,
     state2: HeraldedState,
-    delta_beta_l: float | None,
+    delta_beta_l: float,
     tau: float,
 ) -> float:
     """Brute-force check: full density matrices and a direct double quadrature.
@@ -233,14 +217,13 @@ def coincidence_probability_oracle(
     without using any Schmidt structure.
     """
     state1.grid.require_same(state2.grid)
-    quad = _resolve_quadratic_phase(state1, state2, delta_beta_l)
     grid = state1.grid
     w = grid.detunings
     m1 = _mode_matrix(state1)
     m2 = _mode_matrix(state2)
     rho1 = (m1.T * state1.weights) @ m1.conj()
     rho2 = (m2.T * state2.weights) @ m2.conj()
-    p = np.exp(1j * (0.5 * quad * w**2 + w * tau))
+    p = np.exp(1j * (0.5 * delta_beta_l * w**2 + w * tau))
     kernel = rho1 * np.outer(p, p.conj())
     total = np.sum(kernel * rho2.T) * grid.spacing**2
     return 0.5 - 0.5 * float(total.real)
@@ -249,7 +232,7 @@ def coincidence_probability_oracle(
 def scan(
     state1: HeraldedState,
     state2: HeraldedState,
-    delta_beta_l: float | None,
+    delta_beta_l: float,
     cfg: ScanConfig,
 ) -> InterferenceScan:
     """Coincidence probability at every delay of ``cfg``.

@@ -71,7 +71,9 @@ def write_jsi_csv(path: Path, jsa: JointSpectralAmplitude) -> None:
         f"spacing_rad_fs={_fmt(gi.spacing)}",
     ]
     intensity = jsi(jsa)
-    lines = header + [",".join(format(v, ".8g") for v in row) for row in intensity]
+    # One %-format per row; the same text as format(v, ".8g") per cell.
+    row_format = ",".join(["%.8g"] * intensity.shape[1])
+    lines = header + [row_format % tuple(row) for row in intensity.tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -8,7 +8,7 @@ the manifest back to ``run`` reproduces those files byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .network import (
     outcome_probabilities,
     three_photon_coincidence,
 )
-from .scenario import NetworkConfig, Scenario
+from .scenario import NetworkConfig, Scenario, dump
 from .schmidt import (
     TRUNCATION_WARNING_MASS,
     herald,
@@ -328,16 +328,21 @@ def _run_broadening(sc: Scenario, out: Path, base: str) -> list[str]:
 
 def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Execute a scenario and write its outputs plus the run manifest."""
-    resolved = scenario.model_copy(deep=True)
-    if out_dir is not None:
-        resolved.output.directory = str(out_dir)
-    if resolved.output.basename is None:
-        resolved.output.basename = resolved.name
+    # The resolved scenario replaces only the sections the run fills in; the
+    # caller's scenario is left as it was.
+    output = replace(
+        scenario.output,
+        directory=scenario.output.directory if out_dir is None else str(out_dir),
+        basename=scenario.name if scenario.output.basename is None else scenario.output.basename,
+    )
+    network = scenario.network
+    if network is not None and network.grid.n_points is None:
+        grid = replace(network.grid, n_points=_network_grid_points(network))
+        network = replace(network, grid=grid)
+    resolved = replace(scenario, output=output, network=network)
     out = Path(resolved.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     base = resolved.output.basename
-    if resolved.network is not None and resolved.network.grid.n_points is None:
-        resolved.network.grid.n_points = _network_grid_points(resolved.network)
 
     warnings: list[str] = []
     if resolved.mode == "two-photon-scan":
@@ -352,7 +357,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         files = _run_broadening(resolved, out, base)
 
     manifest = {
-        "scenario": resolved.model_dump(mode="json"),
+        "scenario": dump(resolved),
         "meta": {"package": "homsim", "version": __version__, "outputs": sorted(files)},
     }
     manifest_name = f"{base}_manifest.yaml"

@@ -1,144 +1,183 @@
 """Declarative scenario files: schema, strict parsing, and named presets.
 
-Scenarios are YAML (JSON works too) with a strict schema: unknown keys are
-rejected with the offending key named, and every physics default is
-materialized into the run manifest so a figure is reproducible from the
-manifest alone.
+Scenarios are YAML (JSON works too).  The schema is the dataclasses below;
+``scenario_from_dict`` walks the raw mapping against their fields and
+materializes every physics default, so that the run manifest alone
+reproduces a figure.  The loader is strict:
+
+- a key the schema does not name is rejected;
+- a float field takes an int or a float (an int is stored as a float, so
+  ``fwhm_nm: 10`` dumps as ``10.0``); an int field takes an int or an
+  integral float; booleans, strings and quoted numbers are not numbers;
+- a string field takes a string and a boolean field ``true``/``false``;
+- a choice field (``mode``, ``shape``, ``truncation.kind``, ...) takes one of
+  its listed strings;
+- the ``gt``/``ge`` bounds in a field's metadata are checked, NaN failing
+  every bound;
+- a field without a default is required;
+- after its fields, a section checks its cross-field rules (the dispersion
+  forms of a network edge, the sections a mode requires).
+
+Every problem found is reported, in one ``ScenarioParseError`` whose message
+is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
+dotted key path with list indices, e.g. ``network.edges.1.length_mm``; a
+cross-field rule of the whole scenario is reported without a path.
+
+The sections are frozen: a run resolves its defaults into a new scenario
+with ``dataclasses.replace``, and ``dump`` gives the plain form written to
+the run manifest.
 """
 
-from __future__ import annotations
-
+import dataclasses
+import typing
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Literal
 
 import yaml
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from .errors import ScenarioNotFoundError, ScenarioParseError
 from .source import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 
 
-class _StrictModel(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+def _bounded(default=dataclasses.MISSING, **bound):
+    """A field with a ``gt`` or ``ge`` bound, required when no default is given."""
+    return field(default=default, metadata=bound)
 
 
-class PumpConfig(_StrictModel):
-    center_wavelength_nm: float = Field(390.0, gt=0)
-    pulse_duration_fwhm_fs: float = Field(140.0, gt=0)
+@dataclass(frozen=True, kw_only=True)
+class PumpConfig:
+    center_wavelength_nm: float = _bounded(390.0, gt=0)
+    pulse_duration_fwhm_fs: float = _bounded(140.0, gt=0)
 
 
-class PhaseMatchingConfig(_StrictModel):
-    crystal_length_mm: float = Field(1.0, gt=0)
+@dataclass(frozen=True, kw_only=True)
+class PhaseMatchingConfig:
+    crystal_length_mm: float = _bounded(1.0, gt=0)
     model: Literal["sinc", "gaussian-approx"] = "gaussian-approx"
     gvm_signal_fs_per_mm: float = DEFAULT_GVM_SIGNAL
     gvm_idler_fs_per_mm: float = DEFAULT_GVM_IDLER
 
 
-class GridConfig(_StrictModel):
-    n_points: int = Field(512, ge=8)
-    span_factor: float = Field(4.0, ge=2)
-    reference_bandwidth_fwhm_nm: float = Field(10.0, gt=0)
+@dataclass(frozen=True, kw_only=True)
+class GridConfig:
+    n_points: int = _bounded(512, ge=8)
+    span_factor: float = _bounded(4.0, ge=2)
+    reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-class SourceConfig(_StrictModel):
-    pump: PumpConfig = PumpConfig()
-    phase_matching: PhaseMatchingConfig = PhaseMatchingConfig()
-    grid: GridConfig = GridConfig()
+@dataclass(frozen=True, kw_only=True)
+class SourceConfig:
+    pump: PumpConfig = field(default_factory=PumpConfig)
+    phase_matching: PhaseMatchingConfig = field(default_factory=PhaseMatchingConfig)
+    grid: GridConfig = field(default_factory=GridConfig)
 
 
-class FilterConfig(_StrictModel):
-    center_wavelength_nm: float = Field(780.0, gt=0)
-    fwhm_nm: float = Field(..., gt=0)
+@dataclass(frozen=True, kw_only=True)
+class FilterConfig:
+    center_wavelength_nm: float = _bounded(780.0, gt=0)
+    fwhm_nm: float = _bounded(gt=0)
     shape: Literal["gaussian", "flattop"] = "gaussian"
 
 
-class FiltersConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class FiltersConfig:
     signal: FilterConfig | None = None
     idler: FilterConfig | None = None
 
 
-class DispersionConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class DispersionConfig:
     beta_fs2_per_mm: float = 37.802
-    length_1_mm: float = Field(0.0, ge=0)
-    length_2_mm: float = Field(0.0, ge=0)
+    length_1_mm: float = _bounded(0.0, ge=0)
+    length_2_mm: float = _bounded(0.0, ge=0)
     delta_lengths_mm: list[float] | None = None
 
 
-class TruncationConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class TruncationConfig:
     kind: Literal["mass", "rank", "threshold"] = "mass"
     value: float = 0.999
 
 
-class ScanSettings(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class ScanSettings:
     tau_min_fs: float = -3000.0
     tau_max_fs: float = 3000.0
-    n_steps: int = Field(241, ge=3)
+    n_steps: int = _bounded(241, ge=3)
 
 
-class NetworkSourceConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class NetworkSourceConfig:
     id: str
     delay_fs: float = 0.0
 
 
-class NetworkSplitterConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class NetworkSplitterConfig:
     id: str
     # Optional 2x2 unitary as [[ [re, im], [re, im] ], [ ... ]]; 50/50 if omitted.
     unitary: list[list[list[float]]] | None = None
 
 
-class NetworkEdgeConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class NetworkEdgeConfig:
     start: str
     end: str
     beta_fs2_per_mm: float | None = None
-    length_mm: float | None = Field(None, ge=0)
+    length_mm: float | None = _bounded(None, ge=0)
     beta_l_fs2: float | None = None
 
-    @model_validator(mode="after")
-    def _one_dispersion_form(self) -> "NetworkEdgeConfig":
+    def rule_violation(self) -> str | None:
         has_pair = self.beta_fs2_per_mm is not None or self.length_mm is not None
         if has_pair and self.beta_l_fs2 is not None:
-            raise ValueError("give either beta+length or beta_l_fs2, not both")
+            return "give either beta+length or beta_l_fs2, not both"
         if (self.beta_fs2_per_mm is None) != (self.length_mm is None):
-            raise ValueError("beta_fs2_per_mm and length_mm must be given together")
-        return self
+            return "beta_fs2_per_mm and length_mm must be given together"
+        return None
 
 
-class NetworkGridConfig(_StrictModel):
-    center_wavelength_nm: float = Field(780.0, gt=0)
+@dataclass(frozen=True, kw_only=True)
+class NetworkGridConfig:
+    center_wavelength_nm: float = _bounded(780.0, gt=0)
     # None: the runner derives it from the network and writes it to the manifest.
-    n_points: int | None = Field(None, ge=8)
-    span_factor: float = Field(4.0, ge=2)
-    reference_bandwidth_fwhm_nm: float = Field(10.0, gt=0)
+    n_points: int | None = _bounded(None, ge=8)
+    span_factor: float = _bounded(4.0, ge=2)
+    reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-class DelayScanConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class DelayScanConfig:
     source: str
     min_fs: float = -150.0
     max_fs: float = 150.0
-    n_steps: int = Field(5, ge=2)
+    n_steps: int = _bounded(5, ge=2)
 
 
-class NetworkConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class NetworkConfig:
     sources: list[NetworkSourceConfig]
     beam_splitters: list[NetworkSplitterConfig]
     detectors: list[str]
     edges: list[NetworkEdgeConfig]
-    grid: NetworkGridConfig = NetworkGridConfig()
-    photon_bandwidth_fwhm_nm: float = Field(10.0, gt=0)
-    tolerance_fs2: float = Field(1e-6, gt=0)
+    grid: NetworkGridConfig = field(default_factory=NetworkGridConfig)
+    photon_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
+    tolerance_fs2: float = _bounded(1e-6, gt=0)
     delay_scan: DelayScanConfig | None = None
 
 
-class BroadeningConfig(_StrictModel):
-    bandwidth_fwhm_nm: float = Field(10.0, gt=0)
-    center_wavelength_nm: float = Field(780.0, gt=0)
+@dataclass(frozen=True, kw_only=True)
+class BroadeningConfig:
+    bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
+    center_wavelength_nm: float = _bounded(780.0, gt=0)
     beta_fs2_per_mm: float = 37.802
     lengths_mm: list[float]
-    input_duration_fs: float | None = Field(None, gt=0)
+    input_duration_fs: float | None = _bounded(None, gt=0)
 
 
-class OutputConfig(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class OutputConfig:
     directory: str = "."
     basename: str | None = None
     emit_jsi: bool = False
@@ -155,38 +194,126 @@ Mode = Literal[
 ]
 
 
-class Scenario(_StrictModel):
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
     name: str
     mode: Mode
-    source: SourceConfig = SourceConfig()
-    filters: FiltersConfig = FiltersConfig()
-    dispersion: DispersionConfig = DispersionConfig()
-    truncation: TruncationConfig = TruncationConfig()
+    source: SourceConfig = field(default_factory=SourceConfig)
+    filters: FiltersConfig = field(default_factory=FiltersConfig)
+    dispersion: DispersionConfig = field(default_factory=DispersionConfig)
+    truncation: TruncationConfig = field(default_factory=TruncationConfig)
     purity_mode: Literal["mixed", "postulated-pure"] = "mixed"
     scan: ScanSettings | None = None
     network: NetworkConfig | None = None
     broadening: BroadeningConfig | None = None
-    output: OutputConfig = OutputConfig()
+    output: OutputConfig = field(default_factory=OutputConfig)
 
-    @model_validator(mode="after")
-    def _mode_requirements(self) -> "Scenario":
+    def rule_violation(self) -> str | None:
         if self.mode in ("network-check", "network-sim") and self.network is None:
-            raise ValueError(f"mode {self.mode} requires a network section")
+            return f"mode {self.mode} requires a network section"
         if self.mode == "broadening" and self.broadening is None:
-            raise ValueError("mode broadening requires a broadening section")
+            return "mode broadening requires a broadening section"
         if self.mode == "visibility-curve" and not self.dispersion.delta_lengths_mm:
-            raise ValueError(
-                "mode visibility-curve requires dispersion.delta_lengths_mm"
-            )
-        return self
+            return "mode visibility-curve requires dispersion.delta_lengths_mm"
+        return None
 
 
-def _format_validation_error(exc: ValidationError) -> str:
-    lines = []
-    for err in exc.errors():
-        loc = ".".join(str(p) for p in err["loc"]) or "<root>"
-        lines.append(f"{loc}: {err['msg']}")
-    return "; ".join(lines)
+def _load(tp, value, path: tuple, errors: list[tuple]):
+    """``value`` checked and converted to the schema type ``tp``.
+
+    Appends ``(path, problem)`` to ``errors`` for every problem found; the
+    returned value is meaningless once ``errors`` is non-empty.
+    """
+    if tp is float or tp is int:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if tp is float:
+                return float(value)
+            if isinstance(value, int) or value.is_integer():
+                return int(value)
+        kind = "a number" if tp is float else "an integer"
+        errors.append((path, f"must be {kind}, got {value!r}"))
+        return value
+    if tp is str or tp is bool:
+        if not isinstance(value, tp):
+            kind = "a string" if tp is str else "true or false"
+            errors.append((path, f"must be {kind}, got {value!r}"))
+        return value
+    if dataclasses.is_dataclass(tp):
+        return _load_section(tp, value, path, errors)
+    origin = typing.get_origin(tp)
+    if origin is Literal:
+        choices = typing.get_args(tp)
+        if value not in choices:
+            listed = ", ".join(map(repr, choices))
+            errors.append((path, f"must be one of {listed}, got {value!r}"))
+        return value
+    if origin is list:
+        if not isinstance(value, list):
+            errors.append((path, f"must be a list, got {value!r}"))
+            return value
+        (item,) = typing.get_args(tp)
+        return [_load(item, v, path + (i,), errors) for i, v in enumerate(value)]
+    # ``T | None``, the one union in the schema.
+    if value is None:
+        return None
+    (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    return _load(tp, value, path, errors)
+
+
+def _bound_violation(value, metadata) -> str | None:
+    if "gt" in metadata and not value > metadata["gt"]:  # NaN fails every bound
+        return f"must be > {metadata['gt']}, got {value!r}"
+    if "ge" in metadata and not value >= metadata["ge"]:
+        return f"must be >= {metadata['ge']}, got {value!r}"
+    return None
+
+
+def _load_section(cls, data, path: tuple, errors: list[tuple]):
+    if not isinstance(data, dict):
+        errors.append((path, f"must be a mapping, got {data!r}"))
+        return None
+    fields = dataclasses.fields(cls)
+    n_errors = len(errors)
+    values = {}
+    for f in fields:
+        key = path + (f.name,)
+        if f.name not in data:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                errors.append((key, "required"))
+            continue
+        before = len(errors)
+        values[f.name] = value = _load(f.type, data[f.name], key, errors)
+        if len(errors) == before and value is not None:
+            problem = _bound_violation(value, f.metadata)
+            if problem is not None:
+                errors.append((key, problem))
+    names = {f.name for f in fields}
+    errors.extend((path + (key,), "unknown key") for key in data if key not in names)
+    if len(errors) > n_errors:
+        return None
+    section = cls(**values)
+    problem = section.rule_violation() if hasattr(section, "rule_violation") else None
+    if problem is not None:
+        errors.append((path, problem))
+    return section
+
+
+def dump(value):
+    """A ``Scenario`` (or any section of one) as plain dicts, lists and
+    scalars: the form written to the run manifest and read back by
+    ``scenario_from_dict``."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, list):
+        return [dump(v) for v in value]
+    return value
+
+
+def _format_errors(errors: list[tuple]) -> str:
+    return "; ".join(
+        f"{'.'.join(map(str, path))}: {problem}" if path else problem
+        for path, problem in errors
+    )
 
 
 def scenario_from_dict(data: dict, origin: str = "<memory>") -> Scenario:
@@ -194,7 +321,7 @@ def scenario_from_dict(data: dict, origin: str = "<memory>") -> Scenario:
 
     Accepts either a bare scenario or a run manifest (mapping with a
     ``scenario`` key and optional ``meta``), so emitted manifests re-run
-    directly.
+    directly.  The rules and the error format are in the module docstring.
     """
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{origin}: top level must be a mapping")
@@ -205,10 +332,11 @@ def scenario_from_dict(data: dict, origin: str = "<memory>") -> Scenario:
                 f"{origin}: unexpected top-level keys alongside 'scenario': {sorted(extra)}"
             )
         data = data["scenario"]
-    try:
-        return Scenario.model_validate(data)
-    except ValidationError as exc:
-        raise ScenarioParseError(f"{origin}: {_format_validation_error(exc)}") from exc
+    errors: list[tuple] = []
+    scenario = _load_section(Scenario, data, (), errors)
+    if errors:
+        raise ScenarioParseError(f"{origin}: {_format_errors(errors)}")
+    return scenario
 
 
 def parse_scenario(path: str | Path) -> Scenario:

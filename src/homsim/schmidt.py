@@ -101,15 +101,10 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True)
 class HeraldedState:
-    """Spectrally mixed heralded photon: weights over signal mode functions.
-
-    ``accumulated_dispersion`` is the total beta*L (fs^2) whose quadratic
-    phase has already been multiplied into the modes; 0 for a pristine state.
-    """
+    """Spectrally mixed heralded photon: weights over signal mode functions."""
 
     weights: np.ndarray
     modes: tuple[SpectralFunction, ...]
-    accumulated_dispersion: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -309,11 +304,7 @@ def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
 
 def herald(decomp: SchmidtDecomposition) -> HeraldedState:
     """Trace out the idler: weights are the eigenvalues over the signal modes."""
-    return HeraldedState(
-        weights=decomp.eigenvalues,
-        modes=decomp.signal_modes,
-        accumulated_dispersion=0.0,
-    )
+    return HeraldedState(weights=decomp.eigenvalues, modes=decomp.signal_modes)
 
 
 def purity(state: HeraldedState) -> float:
@@ -342,4 +333,4 @@ def postulate_pure_state(decomp: SchmidtDecomposition) -> HeraldedState:
             "eigenvalue-weighted mode sum cancels to zero norm"
         )
     mode = SpectralFunction(grid, summed / norm)
-    return HeraldedState(weights=np.array([1.0]), modes=(mode,), accumulated_dispersion=0.0)
+    return HeraldedState(weights=np.array([1.0]), modes=(mode,))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from homsim.dispersion import DispersiveElement, apply_dispersion, broadened_duration
+from homsim.dispersion import DispersiveElement, broadened_duration, gvd_phase
 from homsim.hom import (
     ScanConfig,
     coincidence_probability,
@@ -45,6 +45,14 @@ def report(num: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: PASS ({detail})")
 
 
+def dispersed(state, beta_l):
+    """``state`` with each mode multiplied by exp(-i beta*L w^2/2): the fiber's
+    phase carried by the photon itself, an oracle for hom's delta_beta_l."""
+    phase = np.exp(-1j * gvd_phase(state.grid.detunings, beta_l))
+    modes = tuple(SpectralFunction(state.grid, m.amplitudes * phase) for m in state.modes)
+    return HeraldedState(state.weights, modes)
+
+
 def ten_nm_state():
     grid = make_grid(780.0, 10.0, 4.0, 512)
     jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
@@ -58,9 +66,11 @@ def test_criterion_01_dispersion_cancellation_identity():
     cfg = default_scan_config(0.0)
     scans = []
     for length in (0.0, 6000.0, 28000.0):
-        s1 = apply_dispersion(state, DispersiveElement(BETA, length))
-        s2 = apply_dispersion(state, DispersiveElement(BETA, length))
-        scans.append(scan(s1, s2, None, cfg).probabilities)
+        # Both photons carry their fiber's phase in their modes; the explicit
+        # delta_beta_l is the difference of the two fibers, zero.
+        element = DispersiveElement(BETA, length)
+        s1, s2 = dispersed(state, element.beta_l), dispersed(state, element.beta_l)
+        scans.append(scan(s1, s2, element.beta_l - element.beta_l, cfg).probabilities)
     dev = max(
         float(np.max(np.abs(scans[1] - scans[0]))),
         float(np.max(np.abs(scans[2] - scans[0]))),
@@ -261,13 +271,11 @@ def test_criterion_10_network_reduces_to_two_photon_result():
             ],
         )
         p_net = outcome_probabilities(net, [m1, m2], (tau, 0.0))[(1, 1)]
-        s1 = apply_dispersion(
-            HeraldedState(np.array([1.0]), (m1,)), DispersiveElement(b1, 1.0)
-        )
-        s2 = apply_dispersion(
-            HeraldedState(np.array([1.0]), (m2,)), DispersiveElement(b2, 1.0)
-        )
-        p_hom = coincidence_probability(s1, s2, None, tau)
+        s1 = HeraldedState(np.array([1.0]), (m1,))
+        s2 = HeraldedState(np.array([1.0]), (m2,))
+        # The network puts exp(-i beta*L w^2/2) on each photon; hom's
+        # delta_beta_l enters as exp(+i delta_beta_l w^2/2), hence b2 - b1.
+        p_hom = coincidence_probability(s1, s2, b2 - b1, tau)
         worst = max(worst, abs(p_net - p_hom))
     assert worst < 1e-9
     report(10, "network-hom-cross-consistency", f"worst |dP| {worst:.1e} over 20 cases")

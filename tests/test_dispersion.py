@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from homsim.dispersion import (
-    DispersiveElement,
-    apply_dispersion,
-    broadened_duration,
-    gvd_phase,
-)
+from homsim.dispersion import DispersiveElement, broadened_duration, gvd_phase
 from homsim.errors import InvalidArgumentError
-from homsim.schmidt import herald, purity, schmidt_decompose
+from homsim.hom import ScanConfig, scan
+from homsim.schmidt import herald, schmidt_decompose
 from homsim.source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
 from homsim.spectral import make_grid
 
 BETA_FUSED_SILICA = 37.802  # fs^2/mm at 780 nm
+
+
+# A window of 25 delays over the dip: every probability that matters.
+DIP_WINDOW = ScanConfig(-600.0, 600.0, 25)
 
 
 @pytest.fixture(scope="module")
@@ -51,39 +51,46 @@ def test_element_invariants():
 
 
 def test_zero_length_is_identity(state):
-    out = apply_dispersion(state, DispersiveElement(BETA_FUSED_SILICA, 0.0))
-    for a, b in zip(out.modes, state.modes):
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert out.accumulated_dispersion == 0.0
+    beta_l = DispersiveElement(BETA_FUSED_SILICA, 0.0).beta_l
+    out = scan(state, state, beta_l, DIP_WINDOW).probabilities
+    assert np.array_equal(out, scan(state, state, 0.0, DIP_WINDOW).probabilities)
+    assert beta_l == 0.0
 
 
 def test_phase_additivity(state):
-    split = apply_dispersion(
-        apply_dispersion(state, DispersiveElement(BETA_FUSED_SILICA, 2000.0)),
-        DispersiveElement(BETA_FUSED_SILICA, 4000.0),
+    split = (
+        DispersiveElement(BETA_FUSED_SILICA, 2000.0).beta_l
+        + DispersiveElement(BETA_FUSED_SILICA, 4000.0).beta_l
     )
-    joined = apply_dispersion(state, DispersiveElement(BETA_FUSED_SILICA, 6000.0))
-    for a, b in zip(split.modes, joined.modes):
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
-    assert split.accumulated_dispersion == pytest.approx(
-        joined.accumulated_dispersion, rel=1e-15
-    )
+    joined = DispersiveElement(BETA_FUSED_SILICA, 6000.0).beta_l
+    a = scan(state, state, split, DIP_WINDOW).probabilities
+    b = scan(state, state, joined, DIP_WINDOW).probabilities
+    assert np.max(np.abs(a - b)) < 1e-12
+    assert split == pytest.approx(joined, rel=1e-15)
 
 
 def test_dispersion_preserves_weights_norm_and_purity(state):
-    out = apply_dispersion(state, DispersiveElement(BETA_FUSED_SILICA, 28000.0))
-    assert np.array_equal(out.weights, state.weights)
-    assert purity(out) == purity(state)
-    for m in out.modes:
-        assert m.norm == pytest.approx(1.0, abs=1e-12)
+    # The phase exp(i beta*L w^2/2) has unit modulus, so over one alias period
+    # 2 pi/dw the dip area is pi * sum_k rho(w_k, w_k)^2 dw (Parseval), which
+    # only the weights and the mode norms fix: 28 m of fiber leave it alone.
+    grid = state.grid
+    n_steps = grid.n_points + 1
+    dtau = 2.0 * math.pi / (n_steps * grid.spacing)
+    cfg = ScanConfig(-0.5 * n_steps * dtau, (0.5 * n_steps - 1) * dtau, n_steps)
+    diagonal = sum(w * np.abs(m.amplitudes) ** 2 for w, m in zip(state.weights, state.modes))
+    expected = math.pi * np.sum(diagonal**2) * grid.spacing
+    for beta_l in (0.0, DispersiveElement(BETA_FUSED_SILICA, 28000.0).beta_l):
+        probs = scan(state, state, beta_l, cfg).probabilities
+        assert np.sum(0.5 - probs) * dtau == pytest.approx(expected, rel=1e-12)
 
 
 def test_dispersion_round_trip(state):
-    there = apply_dispersion(state, DispersiveElement(BETA_FUSED_SILICA, 6000.0))
-    back = apply_dispersion(there, DispersiveElement(-BETA_FUSED_SILICA, 6000.0))
-    for a, b in zip(back.modes, state.modes):
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
-    assert back.accumulated_dispersion == pytest.approx(0.0, abs=1e-9)
+    there = DispersiveElement(BETA_FUSED_SILICA, 6000.0).beta_l
+    back = there + DispersiveElement(-BETA_FUSED_SILICA, 6000.0).beta_l
+    a = scan(state, state, back, DIP_WINDOW).probabilities
+    b = scan(state, state, 0.0, DIP_WINDOW).probabilities
+    assert np.max(np.abs(a - b)) < 1e-12
+    assert back == pytest.approx(0.0, abs=1e-9)
 
 
 def test_transform_limited_duration():

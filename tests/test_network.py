@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim.dispersion import DispersiveElement, apply_dispersion
+from homsim.dispersion import DispersiveElement
 from homsim.errors import InvalidNetworkError, UnsupportedNetworkError
 from homsim.hom import coincidence_probability
 from homsim.network import (
@@ -335,13 +335,11 @@ def test_single_splitter_reduces_to_hom(grid48):
         net_p = outcome_probabilities(single_splitter(b1, b2), [m1, m2], (tau, 0.0))[
             (1, 1)
         ]
-        s1 = apply_dispersion(
-            HeraldedState(np.array([1.0]), (m1,)), DispersiveElement(b1, 1.0)
-        )
-        s2 = apply_dispersion(
-            HeraldedState(np.array([1.0]), (m2,)), DispersiveElement(b2, 1.0)
-        )
-        hom_p = coincidence_probability(s1, s2, None, tau)
+        s1 = HeraldedState(np.array([1.0]), (m1,))
+        s2 = HeraldedState(np.array([1.0]), (m2,))
+        # The network puts exp(-i beta*L w^2/2) on each photon; hom's
+        # delta_beta_l enters as exp(+i delta_beta_l w^2/2), hence b2 - b1.
+        hom_p = coincidence_probability(s1, s2, b2 - b1, tau)
         worst = max(worst, abs(net_p - hom_p))
     assert worst < 1e-9
 

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import homsim
 from homsim.cli import main
 from homsim.runner import run
-from homsim.scenario import load_preset, parse_scenario, scenario_from_dict
+from homsim.scenario import dump, load_preset, parse_scenario, scenario_from_dict
 
 NETWORK_SIM = {
     "name": "cascade-sim",
@@ -115,7 +115,7 @@ def test_visibility_curve_run(tmp_path):
 def test_visibility_curve_honours_truncation(tmp_path):
     # Keeping one Schmidt mode makes the heralded state pure, so the mixed
     # columns of the curve must equal the pure ones.
-    data = load_preset("fig3").model_dump(mode="json")
+    data = dump(load_preset("fig3"))
     data["truncation"] = {"kind": "rank", "value": 1}
     run(scenario_from_dict(data), out_dir=tmp_path)
     lines = (tmp_path / "fig3_curve.csv").read_text().splitlines()[1:]
@@ -312,11 +312,31 @@ def test_cli_io_error_exit_code(tmp_path):
     assert "i/o error" in result.output
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize("package", ["scipy", "pydantic"])
+def test_cli_import_does_not_load(package):
     src = str(Path(homsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, homsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    probe = (
+        "import sys, homsim.cli; "
+        f"print(any(m.split('.')[0] == {package!r} for m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_jsi_writer_matches_per_cell_format(tmp_path, monkeypatch):
+    from homsim import io
+    from homsim.source import JointSpectralAmplitude
+    from homsim.spectral import make_grid
+
+    special = [0.0, -0.0, 5e-324, 1e-300, 1.23456789e-5, 123456789.0, 0.1, 2.5e-308, 1e22]
+    values = np.resize(np.array(special), (8, 8))  # every row a different rotation
+    grid = make_grid(780.0, 10.0, 4.0, 8)
+    jsa = JointSpectralAmplitude(grid, grid, np.ones((8, 8)))
+    monkeypatch.setattr(io, "jsi", lambda _: values)
+    io.write_jsi_csv(tmp_path / "jsi.csv", jsa)
+    lines = (tmp_path / "jsi.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[2:] == [",".join(format(v, ".8g") for v in row) for row in values] + [""]
+    assert lines[2].split(",")[:2] == ["0", "-0"]

@@ -1,3 +1,5 @@
+import copy
+import re
 import textwrap
 
 import pytest
@@ -142,3 +144,171 @@ def test_edge_dispersion_forms_are_exclusive():
     }
     with pytest.raises(ScenarioParseError, match="beta"):
         scenario_from_dict(base)
+
+
+# --- loader contract ------------------------------------------------------
+# A scenario that fills every section, so that each field below can be
+# pushed past its bound, removed or replaced on its own.
+FULL = {
+    "name": "contract",
+    "mode": "two-photon-scan",
+    "source": {
+        "pump": {"center_wavelength_nm": 390.0, "pulse_duration_fwhm_fs": 140.0},
+        "phase_matching": {"crystal_length_mm": 1.0, "model": "sinc"},
+        "grid": {"n_points": 64, "span_factor": 4.0, "reference_bandwidth_fwhm_nm": 10.0},
+    },
+    "filters": {
+        "signal": {"center_wavelength_nm": 780.0, "fwhm_nm": 10.0, "shape": "gaussian"},
+        "idler": {"fwhm_nm": 10.0},
+    },
+    "dispersion": {"length_1_mm": 10.0, "length_2_mm": 10.0, "delta_lengths_mm": [0.0, 5.0]},
+    "truncation": {"kind": "mass", "value": 0.999},
+    "scan": {"tau_min_fs": -100.0, "tau_max_fs": 100.0, "n_steps": 5},
+    "network": {
+        "sources": [{"id": "a"}, {"id": "b", "delay_fs": 1.0}],
+        "beam_splitters": [{"id": "A"}],
+        "detectors": ["d1", "d2"],
+        "edges": [
+            {"start": "a", "end": "A.in0", "beta_l_fs2": 5.0},
+            {"start": "b", "end": "A.in1", "beta_fs2_per_mm": 5.0, "length_mm": 1.0},
+            {"start": "A.out0", "end": "d1"},
+            {"start": "A.out1", "end": "d2"},
+        ],
+        "grid": {
+            "center_wavelength_nm": 780.0,
+            "n_points": 48,
+            "span_factor": 4.0,
+            "reference_bandwidth_fwhm_nm": 10.0,
+        },
+        "photon_bandwidth_fwhm_nm": 10.0,
+        "tolerance_fs2": 1e-6,
+        "delay_scan": {"source": "a", "n_steps": 3},
+    },
+    "broadening": {
+        "bandwidth_fwhm_nm": 10.0,
+        "center_wavelength_nm": 780.0,
+        "lengths_mm": [1.0],
+        "input_duration_fs": 100.0,
+    },
+    "output": {"basename": "c", "emit_jsi": False},
+}
+
+
+def edited(path: str, value=None, delete: bool = False) -> dict:
+    """A deep copy of FULL with the dotted ``path`` set to ``value`` (or deleted)."""
+    data = copy.deepcopy(FULL)
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    node = data
+    for key in parents:
+        node = node[key]
+    if delete:
+        del node[last]
+    else:
+        node[last] = value
+    return data
+
+
+def rejects_at(path: str, data: dict) -> None:
+    """The loader rejects ``data`` and names the full dotted ``path``."""
+    with pytest.raises(ScenarioParseError, match=rf"(: |; ){re.escape(path)}:"):
+        scenario_from_dict(data)
+
+
+def test_full_scenario_parses():
+    sc = scenario_from_dict(copy.deepcopy(FULL))
+    assert sc.network.edges[1].length_mm == 1.0
+    assert sc.broadening.input_duration_fs == 100.0
+    assert sc.dispersion.delta_lengths_mm == [0.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["bogus", "source.pump.bogus", "filters.signal.bogus", "network.edges.1.bogus",
+     "network.sources.0.bogus", "network.delay_scan.bogus"],
+)
+def test_unknown_key_is_rejected_with_its_path(path):
+    rejects_at(path, edited(path, 1))
+
+
+BOUND_CASES = [
+    ("source.pump.center_wavelength_nm", 0.0),
+    ("source.pump.pulse_duration_fwhm_fs", 0.0),
+    ("source.phase_matching.crystal_length_mm", 0.0),
+    ("source.grid.n_points", 7),
+    ("source.grid.span_factor", 1.999),
+    ("source.grid.reference_bandwidth_fwhm_nm", 0.0),
+    ("filters.signal.center_wavelength_nm", 0.0),
+    ("filters.signal.fwhm_nm", 0.0),
+    ("filters.idler.fwhm_nm", -1e-12),
+    ("dispersion.length_1_mm", -1e-9),
+    ("dispersion.length_2_mm", -1e-9),
+    ("scan.n_steps", 2),
+    ("network.edges.1.length_mm", -1e-9),
+    ("network.grid.center_wavelength_nm", 0.0),
+    ("network.grid.n_points", 7),
+    ("network.grid.span_factor", 1.999),
+    ("network.grid.reference_bandwidth_fwhm_nm", 0.0),
+    ("network.photon_bandwidth_fwhm_nm", 0.0),
+    ("network.tolerance_fs2", 0.0),
+    ("network.delay_scan.n_steps", 1),
+    ("broadening.bandwidth_fwhm_nm", 0.0),
+    ("broadening.center_wavelength_nm", 0.0),
+    ("broadening.input_duration_fs", 0.0),
+]
+
+
+@pytest.mark.parametrize("path,value", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_value_just_past_its_bound_is_rejected(path, value):
+    rejects_at(path, edited(path, value))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [("mode", "two-photon"), ("filters.signal.shape", "square"),
+     ("truncation.kind", "fraction"), ("source.phase_matching.model", "exact"),
+     ("purity_mode", "pure")],
+)
+def test_value_outside_its_choices_is_rejected(path, value):
+    rejects_at(path, edited(path, value))
+
+
+@pytest.mark.parametrize(
+    "path", ["filters.signal.fwhm_nm", "network.sources", "network.edges.0.start",
+             "broadening.lengths_mm", "name"],
+)
+def test_missing_required_field_is_rejected(path):
+    rejects_at(path, edited(path, delete=True))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [("source.grid.n_points", 64.5), ("scan.n_steps", 5.5), ("network.grid.n_points", 48.25),
+     ("network.delay_scan.n_steps", 3.5)],
+)
+def test_non_integral_float_for_int_field_is_rejected(path, value):
+    rejects_at(path, edited(path, value))
+
+
+def test_integral_yaml_numbers_dump_as_floats_in_the_manifest(tmp_path):
+    from homsim.runner import run
+
+    path = tmp_path / "ints.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            name: ints
+            mode: broadening
+            filters:
+              signal: {fwhm_nm: 10}
+            broadening:
+              lengths_mm: [6000]
+            """
+        ),
+        encoding="utf-8",
+    )
+    sc = parse_scenario(path)
+    assert type(sc.filters.signal.fwhm_nm) is float
+    run(sc, out_dir=tmp_path)
+    manifest = (tmp_path / "ints_manifest.yaml").read_text(encoding="utf-8")
+    assert "    fwhm_nm: 10.0\n" in manifest
+    assert "    - 6000.0\n" in manifest

@@ -148,7 +148,7 @@ def test_herald_copies_eigenvalues(filtered_jsa):
     decomp = schmidt_decompose(filtered_jsa)
     state = herald(decomp)
     assert np.array_equal(state.weights, decomp.eigenvalues)
-    assert state.accumulated_dispersion == 0.0
+    assert all(a is b for a, b in zip(state.modes, decomp.signal_modes))
     assert purity(state) == pytest.approx(1.0 / schmidt_number(decomp), rel=1e-14)
 
 
