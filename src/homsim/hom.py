@@ -4,15 +4,14 @@ The coincidence probability between two independent heralded photons at a
 50/50 beam splitter is
 
     P = 1/2 - 1/2 * sum_{n n'} w1_n w2_n' |O_nn'(tau)|^2,
-    O_nn' = integral dw  phi1_n(w) conj(phi2_n'(w)) e^{i(0.5*dBL*w^2 + w*tau)},
+    O_nn' = integral dw  phi1_n(w) conj(phi2_n'(w)) e^{i(-0.5*dBL*w^2 + w*tau)},
 
 where dBL = beta1*L1 - beta2*L2 is the *difference* of the accumulated
 dispersion products, passed to every function here as ``delta_beta_l``; the
-states' modes carry no dispersion phase of their own.  The network module
-puts exp(-i beta*L w^2/2) on each photon instead, so a single splitter with
-arm products b1, b2 gives the value here at delta_beta_l = b2 - b1; for modes
-of definite parity (those of every symmetric JSA) the sign makes no
-difference.
+states' modes carry no dispersion phase of their own.  The sign is the
+network module's: a fiber puts exp(-i beta*L w^2/2) on its photon, so a
+single splitter with arm products b1, b2 gives the value here at
+delta_beta_l = b1 - b2.
 
 Every probability, one delay or a scan, comes from one overlap routine.  The
 grid w_k = w_0 + k*dw and the delays tau_t = tau_0 + t*dtau are uniform, so
@@ -173,7 +172,7 @@ def _probabilities(
     With w_k = w_0 + k*dw and alpha = dw*dtau, Bluestein's
     kt = (k^2 + t^2 - (t - k)^2)/2 gives
     O_nm(tau_t) = e^{i(w_0 t dtau + alpha t^2/2)} sum_k b_nm[k] e^{-i alpha (t-k)^2/2},
-    b_nm[k] = phi1_n[k] conj(phi2_m[k]) e^{i(dBL w_k^2/2 + w_k tau0 + alpha k^2/2)} dw:
+    b_nm[k] = phi1_n[k] conj(phi2_m[k]) e^{i(-dBL w_k^2/2 + w_k tau0 + alpha k^2/2)} dw:
     one FFT convolution per mode pair.  The leading factor is a unit-modulus
     phase shared by every mode pair, so |O_nm|^2 does not need it.
     """
@@ -183,7 +182,7 @@ def _probabilities(
     w = grid.detunings
     turns = grid.spacing * dtau / (4.0 * math.pi)  # alpha/2 in turns
     chirp = _chirp(turns, np.arange(n))
-    chirp *= np.exp(1j * 0.5 * delta_beta_l * w**2) * np.exp(1j * w * tau0) * grid.spacing
+    chirp *= np.exp(-1j * 0.5 * delta_beta_l * w**2) * np.exp(1j * w * tau0) * grid.spacing
     products = (_mode_matrix(state1) * chirp)[:, None, :] * _mode_matrix(state2).conj()
     size = _smooth_length(n + n_taus - 1)
     kernel = np.fft.fft(_chirp(turns, np.arange(1 - n, n_taus)).conj(), size)  # every t - k
@@ -213,7 +212,7 @@ def coincidence_probability_oracle(
     Builds rho_j(w, w') = sum_n w_n phi_n(w) conj(phi_n(w')) on the grid and
     evaluates
     P = 1/2 - 1/2 * sum_{k l} rho1[k,l] rho2[l,k]
-        e^{i 0.5 dBL (w_k^2 - w_l^2)} e^{i (w_k - w_l) tau} * spacing^2
+        e^{-i 0.5 dBL (w_k^2 - w_l^2)} e^{i (w_k - w_l) tau} * spacing^2
     without using any Schmidt structure.
     """
     state1.grid.require_same(state2.grid)
@@ -223,7 +222,7 @@ def coincidence_probability_oracle(
     m2 = _mode_matrix(state2)
     rho1 = (m1.T * state1.weights) @ m1.conj()
     rho2 = (m2.T * state2.weights) @ m2.conj()
-    p = np.exp(1j * (0.5 * delta_beta_l * w**2 + w * tau))
+    p = np.exp(1j * (w * tau - 0.5 * delta_beta_l * w**2))
     kernel = rho1 * np.outer(p, p.conj())
     total = np.sum(kernel * rho2.T) * grid.spacing**2
     return 0.5 - 0.5 * float(total.real)

@@ -16,12 +16,15 @@ reproduces a figure.  The loader is strict:
   every bound;
 - a field without a default is required;
 - after its fields, a section checks its cross-field rules (the dispersion
-  forms of a network edge, the sections a mode requires).
+  forms of a network edge, an integral rank >= 1 for a rank truncation, a
+  delay scan naming one of the network's sources, the sections a mode
+  requires).
 
 Every problem found is reported, in one ``ScenarioParseError`` whose message
 is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
 dotted key path with list indices, e.g. ``network.edges.1.length_mm``; a
-cross-field rule of the whole scenario is reported without a path.
+cross-field rule is reported at the key it faults (``truncation.value``) or
+at its section, and a rule of the whole scenario without a path.
 
 The sections are frozen: a run resolves its defaults into a new scenario
 with ``dataclasses.replace``, and ``dump`` gives the plain form written to
@@ -100,6 +103,11 @@ class TruncationConfig:
     kind: Literal["mass", "rank", "threshold"] = "mass"
     value: float = 0.999
 
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        if self.kind == "rank" and not (self.value >= 1 and self.value.is_integer()):
+            return ("value",), f"a rank must be an integer >= 1, got {self.value!r}"
+        return None
+
 
 @dataclass(frozen=True, kw_only=True)
 class ScanSettings:
@@ -129,12 +137,12 @@ class NetworkEdgeConfig:
     length_mm: float | None = _bounded(None, ge=0)
     beta_l_fs2: float | None = None
 
-    def rule_violation(self) -> str | None:
+    def rule_violation(self) -> tuple[tuple, str] | None:
         has_pair = self.beta_fs2_per_mm is not None or self.length_mm is not None
         if has_pair and self.beta_l_fs2 is not None:
-            return "give either beta+length or beta_l_fs2, not both"
+            return (), "give either beta+length or beta_l_fs2, not both"
         if (self.beta_fs2_per_mm is None) != (self.length_mm is None):
-            return "beta_fs2_per_mm and length_mm must be given together"
+            return (), "beta_fs2_per_mm and length_mm must be given together"
         return None
 
 
@@ -165,6 +173,15 @@ class NetworkConfig:
     photon_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
     tolerance_fs2: float = _bounded(1e-6, gt=0)
     delay_scan: DelayScanConfig | None = None
+
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        ids = [s.id for s in self.sources]
+        if self.delay_scan is not None and self.delay_scan.source not in ids:
+            listed = ", ".join(map(repr, ids))
+            return ("delay_scan", "source"), (
+                f"must be one of the source ids {listed}, got {self.delay_scan.source!r}"
+            )
+        return None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -208,13 +225,13 @@ class Scenario:
     broadening: BroadeningConfig | None = None
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def rule_violation(self) -> str | None:
+    def rule_violation(self) -> tuple[tuple, str] | None:
         if self.mode in ("network-check", "network-sim") and self.network is None:
-            return f"mode {self.mode} requires a network section"
+            return (), f"mode {self.mode} requires a network section"
         if self.mode == "broadening" and self.broadening is None:
-            return "mode broadening requires a broadening section"
+            return (), "mode broadening requires a broadening section"
         if self.mode == "visibility-curve" and not self.dispersion.delta_lengths_mm:
-            return "mode visibility-curve requires dispersion.delta_lengths_mm"
+            return (), "mode visibility-curve requires dispersion.delta_lengths_mm"
         return None
 
 
@@ -292,9 +309,10 @@ def _load_section(cls, data, path: tuple, errors: list[tuple]):
     if len(errors) > n_errors:
         return None
     section = cls(**values)
-    problem = section.rule_violation() if hasattr(section, "rule_violation") else None
-    if problem is not None:
-        errors.append((path, problem))
+    violation = section.rule_violation() if hasattr(section, "rule_violation") else None
+    if violation is not None:
+        keys, problem = violation
+        errors.append((path + keys, problem))
     return section
 
 

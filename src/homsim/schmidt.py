@@ -21,9 +21,11 @@ randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
   (the last 8 columns are oversampling and are never trusted).  A
   full-width block uses the QR basis of A itself and is exact, so rank = N
   and mass = 1 keep every mode.
-* The arithmetic is real whenever A has no imaginary part, which holds for
-  every pump, phase-matching and filter model; a complex A runs the same
-  code in complex dtype.
+* The arithmetic is real for a float64 A, which every pump, phase-matching
+  and filter model produces, and for a complex A with no imaginary part; any
+  other complex A runs the same code in complex dtype.  A itself is never
+  copied or rescaled: the quadrature weight sqrt(ds*di) scales only the
+  singular values.
 * The discarded mass is exact: 1 - sum(kept eigenvalues) / ||A||_F^2.
 
 The fixed seed makes the result a deterministic function of the JSA, so
@@ -151,17 +153,19 @@ def schmidt_decompose(
     ds = jsa.grid_signal.spacing
     di = jsa.grid_idler.spacing
     amplitudes = jsa.amplitudes
-    if not np.any(amplitudes.imag):
-        amplitudes = amplitudes.real
-    weighted = amplitudes * math.sqrt(ds * di)
-    total = float(np.vdot(weighted, weighted).real)  # ||A||_F^2, 1 up to rounding
+    if np.iscomplexobj(amplitudes) and not np.any(amplitudes.imag):
+        amplitudes = np.ascontiguousarray(amplitudes.real)
+    # The weighted matrix A*sqrt(ds*di) has the singular vectors of A and the
+    # eigenvalues (s*sqrt(ds*di))^2.
+    cell = ds * di
+    total = float(np.vdot(amplitudes, amplitudes).real) * cell  # 1 up to rounding
 
-    full = min(weighted.shape)
+    full = min(amplitudes.shape)
     k = min(_INITIAL_BLOCK, full)
     while True:
         exact = k == full
-        u, s, vh = _truncated_svd(weighted, k, exact)
-        lam = s**2
+        u, s, vh = _truncated_svd(amplitudes, k, exact)
+        lam = s**2 * cell
         keep = _kept_count(lam, total, exact, rank, threshold, mass)
         if keep is not None:
             break

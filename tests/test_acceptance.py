@@ -273,9 +273,8 @@ def test_criterion_10_network_reduces_to_two_photon_result():
         p_net = outcome_probabilities(net, [m1, m2], (tau, 0.0))[(1, 1)]
         s1 = HeraldedState(np.array([1.0]), (m1,))
         s2 = HeraldedState(np.array([1.0]), (m2,))
-        # The network puts exp(-i beta*L w^2/2) on each photon; hom's
-        # delta_beta_l enters as exp(+i delta_beta_l w^2/2), hence b2 - b1.
-        p_hom = coincidence_probability(s1, s2, b2 - b1, tau)
+        # Both put exp(-i beta*L w^2/2) on each photon, hence b1 - b2.
+        p_hom = coincidence_probability(s1, s2, b1 - b2, tau)
         worst = max(worst, abs(p_net - p_hom))
     assert worst < 1e-9
     report(10, "network-hom-cross-consistency", f"worst |dP| {worst:.1e} over 20 cases")

@@ -76,7 +76,7 @@ def einsum_scan(state1, state2, delta_beta_l, cfg) -> np.ndarray:
     w = grid.detunings
     m1 = hom._mode_matrix(state1)
     m2c = hom._mode_matrix(state2).conj()
-    static = np.exp(1j * 0.5 * delta_beta_l * w**2) * grid.spacing
+    static = np.exp(-1j * 0.5 * delta_beta_l * w**2) * grid.spacing
     phases = np.exp(1j * np.outer(cfg.taus(), w)) * static
     overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
     return 0.5 - 0.5 * np.einsum(

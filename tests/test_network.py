@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homsim.dispersion import DispersiveElement
 from homsim.errors import InvalidNetworkError, UnsupportedNetworkError
-from homsim.hom import coincidence_probability
+from homsim.hom import ScanConfig, coincidence_probability, scan
 from homsim.network import (
     BeamSplitterNode,
     DetectorNode,
@@ -23,7 +23,8 @@ from homsim.network import (
     outcome_probabilities,
     three_photon_coincidence,
 )
-from homsim.schmidt import HeraldedState
+from homsim.schmidt import HeraldedState, herald, schmidt_decompose
+from homsim.source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
 from homsim.spectral import SpectralFunction, gaussian_mode, make_grid
 
 X = 37.802 * 6000.0  # fs^2
@@ -337,11 +338,30 @@ def test_single_splitter_reduces_to_hom(grid48):
         ]
         s1 = HeraldedState(np.array([1.0]), (m1,))
         s2 = HeraldedState(np.array([1.0]), (m2,))
-        # The network puts exp(-i beta*L w^2/2) on each photon; hom's
-        # delta_beta_l enters as exp(+i delta_beta_l w^2/2), hence b2 - b1.
-        hom_p = coincidence_probability(s1, s2, b2 - b1, tau)
+        # Both put exp(-i beta*L w^2/2) on each photon, hence b1 - b2.
+        hom_p = coincidence_probability(s1, s2, b1 - b2, tau)
         worst = max(worst, abs(net_p - hom_p))
     assert worst < 1e-9
+
+
+def test_off_centre_heralded_scan_matches_single_splitter():
+    # An off-centre filter leaves modes of no definite parity, so the dip
+    # moves by delta_beta_l times the mean detuning and the sign of the
+    # dispersion phase shows.
+    grid = make_grid(780.0, 10.0, 4.0, 256)
+    jsa = apply_filters(
+        build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid),
+        BandpassFilter(781.5, 3.0),
+        BandpassFilter(780.0, 10.0),
+    )
+    state = herald(schmidt_decompose(jsa))
+    b1, b2 = 60000.0, 10000.0
+    result = scan(state, state, b1 - b2, ScanConfig(-900.0, 900.0, 7))
+    network = [
+        outcome_probabilities(single_splitter(b1, b2), [state, state], (tau, 0.0))[(1, 1)]
+        for tau in result.taus
+    ]
+    assert np.max(np.abs(result.probabilities - network)) < 1e-12
 
 
 def test_three_photon_requires_fig5_class(grid48, identical_modes):

@@ -260,6 +260,18 @@ def test_cli_invalid_scenario_is_config_error(tmp_path):
     assert "bogus_key" in result.output
 
 
+def test_cli_unknown_delay_scan_source_is_config_error(tmp_path):
+    scenario = copy.deepcopy(NETWORK_SIM)
+    scenario["network"]["delay_scan"]["source"] = "nope"
+    path = tmp_path / "sim.yaml"
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "network.delay_scan.source" in result.output
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     # A flat-top filter far off the grid annihilates the JSA.
     scenario = {

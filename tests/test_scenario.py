@@ -289,6 +289,18 @@ def test_non_integral_float_for_int_field_is_rejected(path, value):
     rejects_at(path, edited(path, value))
 
 
+@pytest.mark.parametrize("value", [2.5, 0.0, 0.5, float("inf"), float("nan")])
+def test_rank_truncation_takes_an_integral_rank(value):
+    data = edited("truncation", {"kind": "rank", "value": value})
+    rejects_at("truncation.value", data)
+    data["truncation"]["value"] = 2
+    assert scenario_from_dict(data).truncation.value == 2.0
+
+
+def test_delay_scan_names_a_network_source():
+    rejects_at("network.delay_scan.source", edited("network.delay_scan.source", "nope"))
+
+
 def test_integral_yaml_numbers_dump_as_floats_in_the_manifest(tmp_path):
     from homsim.runner import run
 

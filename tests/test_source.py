@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from homsim import runner
+from homsim.constants import TWO_LN2
 from homsim.errors import DegenerateFilterError, InvalidArgumentError
+from homsim.scenario import load_preset
 from homsim.schmidt import herald, purity, schmidt_decompose
 from homsim.source import (
+    SINC_GAUSSIAN_GAMMA,
     BandpassFilter,
     JointSpectralAmplitude,
     PhaseMatching,
@@ -166,3 +172,143 @@ def test_invariants_of_config_types():
 def test_pump_angular_fwhm_matches_time_bandwidth_product():
     pump = PumpSpectrum(pulse_duration_fwhm=140.0)
     assert pump.angular_fwhm == pytest.approx(2 * math.pi * 0.441 / 140.0, rel=1e-15)
+
+
+# --- oracles for the single-exponential real build --------------------------
+
+
+def normalized(amp, grid_signal, grid_idler):
+    norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid_signal.spacing * grid_idler.spacing)
+    return amp / norm
+
+
+def oracle_build_jsa(pump, pm, grid_signal, grid_idler):
+    """Pump envelope times phase matching as two N_s x N_i exponentials,
+    normalized in complex arithmetic."""
+    ws = grid_signal.detunings[:, None]
+    wi = grid_idler.detunings[None, :]
+    pump_amp = np.exp(-TWO_LN2 * ((ws + wi) / pump.angular_fwhm) ** 2)
+    x = 0.5 * pm.crystal_length * (pm.gvm_signal * ws + pm.gvm_idler * wi)
+    if pm.model == "sinc":
+        matching = np.sinc(x / math.pi)
+    else:
+        matching = np.exp(-SINC_GAUSSIAN_GAMMA * x**2)
+    return normalized(np.asarray(pump_amp * matching, dtype=complex), grid_signal, grid_idler)
+
+
+def oracle_apply_filters(amp, grid_signal, grid_idler, filter_signal, filter_idler):
+    ts = (
+        filter_signal.amplitude_transmission(grid_signal)
+        if filter_signal is not None
+        else np.ones(grid_signal.n_points)
+    )
+    ti = (
+        filter_idler.amplitude_transmission(grid_idler)
+        if filter_idler is not None
+        else np.ones(grid_idler.n_points)
+    )
+    return normalized(amp * ts[:, None] * ti[None, :], grid_signal, grid_idler)
+
+
+# No filter, or a Gaussian or flat-top one, centred up to 6 nm off 780 nm.
+FILTERS = st.one_of(
+    st.none(),
+    st.builds(
+        BandpassFilter,
+        center_wavelength=st.floats(774.0, 786.0),
+        fwhm=st.floats(1.0, 20.0),
+        shape=st.sampled_from(["gaussian", "flattop"]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    duration=st.floats(60.0, 400.0),
+    length=st.floats(0.3, 4.0),
+    gvm=st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+    model=st.sampled_from(["gaussian-approx", "sinc"]),
+    n=st.tuples(st.integers(16, 160), st.integers(16, 160)),
+    span=st.tuples(st.floats(2.0, 6.0), st.floats(2.0, 6.0)),
+    filter_signal=FILTERS,
+    filter_idler=FILTERS,
+)
+def test_real_build_matches_two_exponential_oracle(
+    duration, length, gvm, model, n, span, filter_signal, filter_idler
+):
+    assume(gvm[0] != gvm[1])
+    pump = PumpSpectrum(pulse_duration_fwhm=duration)
+    pm = PhaseMatching(crystal_length=length, model=model, gvm_signal=gvm[0], gvm_idler=gvm[1])
+    grid_s = make_grid(780.0, 10.0, span[0], n[0])
+    grid_i = make_grid(780.0, 10.0, span[1], n[1])
+    expected = oracle_build_jsa(pump, pm, grid_s, grid_i)
+    jsa = build_jsa(pump, pm, grid_s, grid_i)
+    assert jsa.amplitudes.dtype == np.float64
+    assert np.max(np.abs(jsa.amplitudes - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    try:
+        filtered = apply_filters(jsa, filter_signal, filter_idler)
+    except DegenerateFilterError:
+        assume(False)  # a flat-top between the samples of a coarse grid
+    expected = oracle_apply_filters(expected, grid_s, grid_i, filter_signal, filter_idler)
+    assert filtered.amplitudes.dtype == np.float64
+    assert np.max(np.abs(filtered.amplitudes - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_jsa_keeps_the_kind_of_matrix_it_is_given(default_jsa, grid):
+    amp = default_jsa.amplitudes
+    assert amp.dtype == np.float64
+    assert JointSpectralAmplitude(grid, grid, np.ones((512, 512), dtype=int)).amplitudes.dtype == np.float64
+    # A complex JSA stays complex through filtering and decomposes as its
+    # real counterpart does: a signal-only spectral phase is local, so it
+    # moves no Schmidt eigenvalue.
+    phase = np.exp(1j * 50.0 * grid.detunings)
+    rotated = JointSpectralAmplitude(grid, grid, amp * phase[:, None])
+    assert rotated.amplitudes.dtype == np.complex128
+    f = BandpassFilter(781.0, 6.0)
+    real, cplx = (apply_filters(j, f, f) for j in (default_jsa, rotated))
+    assert cplx.amplitudes.dtype == np.complex128
+    assert np.allclose(np.abs(cplx.amplitudes), real.amplitudes, rtol=0, atol=1e-12)
+    lam_real = schmidt_decompose(real, rank=6).eigenvalues
+    lam_cplx = schmidt_decompose(cplx, rank=6).eigenvalues
+    assert np.allclose(lam_cplx, lam_real, rtol=0, atol=1e-12)
+
+
+# --- closed-form Gaussian purity --------------------------------------------
+
+
+def filter_exponent(f, centre_nm):
+    """2 ln2/w^2, the quadratic-form term of a centred Gaussian filter of FWHM w."""
+    if f is None:
+        return 0.0
+    assert f.shape == "gaussian" and f.center_wavelength_nm == centre_nm
+    return TWO_LN2 / fwhm_wavelength_to_angular(f.fwhm_nm, f.center_wavelength_nm) ** 2
+
+
+def gaussian_purity(sc):
+    """sqrt(1 - R^2/PQ) of the filtered JSA exp(-(P ws^2 + Q wi^2 + 2R ws wi)).
+
+    A Gaussian pump gives 2 ln2/dw_p^2 (ws + wi)^2, Gaussian phase matching
+    0.193 (L/2)^2 (gvm_s ws + gvm_i wi)^2, and a centred Gaussian filter of
+    FWHM w adds 2 ln2/w^2 to its own arm (Grice & Walmsley, PRA 56, 1627
+    (1997); Law, Walmsley & Eberly, PRL 84, 5304 (2000)).
+    """
+    src = sc.source
+    pm = src.phase_matching
+    assert pm.model == "gaussian-approx"
+    centre = 2.0 * src.pump.center_wavelength_nm
+    a = TWO_LN2 / PumpSpectrum(pulse_duration_fwhm=src.pump.pulse_duration_fwhm_fs).angular_fwhm ** 2
+    g = SINC_GAUSSIAN_GAMMA * (0.5 * pm.crystal_length_mm) ** 2
+    gs, gi = pm.gvm_signal_fs_per_mm, pm.gvm_idler_fs_per_mm
+    p = a + g * gs**2 + filter_exponent(sc.filters.signal, centre)
+    q = a + g * gi**2 + filter_exponent(sc.filters.idler, centre)
+    r = a + g * gs * gi
+    return math.sqrt(1.0 - r**2 / (p * q))
+
+
+@pytest.mark.parametrize("preset", ["fig1c", "fig2a", "fig2b", "fig2c", "fig3"])
+def test_gaussian_presets_match_closed_form_purity(preset):
+    sc = load_preset(preset)
+    assert sc.source.grid.n_points == 512
+    decomp = schmidt_decompose(runner._filtered_jsa(sc), mass=1 - 1e-12)
+    assert abs(purity(herald(decomp)) - gaussian_purity(sc)) <= 1e-6
