@@ -250,42 +250,68 @@ def scan(
     return InterferenceScan(taus=taus, probabilities=probs)
 
 
-def _dip_model(tau, baseline, visibility, center, width):
-    return baseline * (1.0 - visibility * np.exp(-FOUR_LN2 * (tau - center) ** 2 / width**2))
+def _dip_residuals(taus, probs, p):
+    """u = (tau - t0)/w, the dip shape g = e^{-4 ln2 u^2} and the residuals
+    B (1 - V g) - P at the parameters p = (B, V, t0, w)."""
+    u = taus - p[2]
+    u /= p[3]
+    g = np.exp(-FOUR_LN2 * u * u)
+    r = g * (-p[0] * p[1])
+    r += p[0] - probs
+    return u, g, r
 
 
-def _dip_jacobian(tau, baseline, visibility, center, width):
-    x = tau - center
-    g = np.exp(-FOUR_LN2 * x**2 / width**2)
-    d_center = -2.0 * FOUR_LN2 * baseline * visibility * g * x / width**2
-    return np.column_stack([1.0 - visibility * g, -baseline * g, d_center, d_center * x / width])
-
-
-def _levenberg_marquardt(taus, probs, p, guess) -> np.ndarray:
+def _levenberg_marquardt(taus, probs, p, guess) -> tuple[np.ndarray, np.ndarray]:
     """Bounded Levenberg-Marquardt on the scaled parameters (Madsen, Nielsen
-    & Tingleff 2004, alg. 3.16).  A parameter on a bound whose gradient points
-    outward is held; steps are clipped to the bounds."""
-    r = _dip_model(taus, *p) - probs
+    & Tingleff, *Methods for non-linear least squares problems*, 2004,
+    alg. 3.16); returns the fitted parameters and their residuals.
+
+    A parameter on a bound whose gradient points outward is held; steps are
+    clipped to the bounds.  Each iteration does its work once: the Gaussian
+    of a trial point gives its residuals and, once the point is accepted,
+    its Jacobian, held as a contiguous (4, T) array of the scaled columns;
+    a rejected step only re-solves the cached 4 x 4 normal equations with
+    the larger damping.  The damping starts at tau = 1e-6 times the largest
+    diagonal entry of J^T J, the value Madsen et al. (sec. 3.2) recommend
+    when the start is close to the optimum, as ``_initial_guess`` is.
+    """
+    u, g, r = _dip_residuals(taus, probs, p)
+    cost = r @ r
+    jac = np.empty((4, len(taus)))
     mu, nu = None, 2.0
+    linearised = False
     for _ in range(FIT_MAX_ITERATIONS):
-        scale = np.array([abs(p[0]), 1.0, p[3], p[3]])
-        jac = _dip_jacobian(taus, *p) * scale
-        grad = jac.T @ r
-        free = ~(((p <= _FIT_LOWER) & (grad > 0)) | ((p >= _FIT_UPPER) & (grad < 0)))
-        normal = jac[:, free].T @ jac[:, free]
-        if mu is None:
-            mu = 1e-3 * np.max(np.sum(jac**2, axis=0))
+        if not linearised:
+            baseline, visibility, _, width = p
+            scale = np.array([abs(baseline), 1.0, width, width])
+            # Rows: the derivatives of B (1 - V g) by B, V, t0 and w, times scale.
+            np.multiply(g, -visibility, out=jac[0])
+            jac[0] += 1.0
+            jac[0] *= abs(baseline)
+            np.multiply(g, -baseline, out=jac[1])
+            np.multiply(u, 2.0 * FOUR_LN2 * visibility, out=jac[2])
+            jac[2] *= jac[1]
+            np.multiply(jac[2], u, out=jac[3])
+            grad = jac @ r
+            gram = jac @ jac.T
+            free = ~(((p <= _FIT_LOWER) & (grad > 0)) | ((p >= _FIT_UPPER) & (grad < 0)))
+            normal = gram[free][:, free]
+            if mu is None:
+                mu = 1e-6 * np.max(np.diag(gram))
+            linearised = True
         step = np.zeros(4)
         step[free] = np.linalg.solve(normal + mu * np.eye(len(normal)), -grad[free])
         trial = np.clip(p + step * scale, _FIT_LOWER, _FIT_UPPER)
         step = (trial - p) / scale
         if np.max(np.abs(step)) <= FIT_STEP_TOLERANCE:
-            return p
-        r_trial = _dip_model(taus, *trial) - probs
-        predicted = -grad @ step - 0.5 * np.sum((jac @ step) ** 2)
-        gained = 0.5 * (r @ r - r_trial @ r_trial)
+            return p, r
+        u_trial, g_trial, r_trial = _dip_residuals(taus, probs, trial)
+        cost_trial = r_trial @ r_trial
+        predicted = -grad @ step - 0.5 * step @ gram @ step
+        gained = 0.5 * (cost - cost_trial)
         if predicted > 0 and gained > 0:
-            p, r = trial, r_trial
+            p, r, cost, u, g = trial, r_trial, cost_trial, u_trial, g_trial
+            linearised = False
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gained / predicted - 1.0) ** 3)
             nu = 2.0
         else:
@@ -331,8 +357,14 @@ def fit_dip(scan_result: InterferenceScan) -> DipMetrics:
     Initialization: baseline from the outer 10% of samples, visibility from
     the sample minimum, width from the half-depth crossings.  The fit is a
     bounded Levenberg-Marquardt with the analytic Jacobian (B >= 0,
-    0 <= V <= 1, w >= 0); it stops when no scaled parameter step exceeds
-    ``FIT_STEP_TOLERANCE``.  Raises :class:`NoDipError` when the scan is flat
+    0 <= V <= 1, w >= 0) that does each iteration's work once: one Gaussian
+    per trial point, reused for the Jacobian once the point is accepted, and
+    only a re-solve of the cached 4 x 4 normal equations after a rejected
+    step.  Its damping starts at tau = 1e-6 of the largest diagonal entry of
+    J^T J (Madsen, Nielsen & Tingleff 2004, sec. 3.2, for a start close to
+    the optimum).  It stops when no scaled parameter step exceeds
+    ``FIT_STEP_TOLERANCE``; ``fit_residual`` is the RMS of the residuals at
+    the fitted point.  Raises :class:`NoDipError` when the scan is flat
     (V < 0.001) and :class:`FitFailureError` (carrying the initial guess)
     when ``FIT_MAX_ITERATIONS`` pass without convergence.
     """
@@ -344,9 +376,9 @@ def fit_dip(scan_result: InterferenceScan) -> DipMetrics:
     p0 = np.array(
         [max(guess[0], 1e-12), min(max(guess[1], 0.0), 1.0), guess[2], max(guess[3], 1e-9)]
     )
-    params = _levenberg_marquardt(taus, probs, p0, guess)
+    params, r = _levenberg_marquardt(taus, probs, p0, guess)
     baseline, visibility, center, width = (float(v) for v in params)
-    residual = float(np.sqrt(np.mean((_dip_model(taus, *params) - probs) ** 2)))
+    residual = math.sqrt(r @ r / len(r))
     raw_visibility = float(1.0 - probs.min() / baseline)
     return DipMetrics(
         visibility=visibility,

@@ -106,6 +106,8 @@ class TruncationConfig:
     def rule_violation(self) -> tuple[tuple, str] | None:
         if self.kind == "rank" and not (self.value >= 1 and self.value.is_integer()):
             return ("value",), f"a rank must be an integer >= 1, got {self.value!r}"
+        if self.kind == "mass" and not 0.0 < self.value <= 1.0:
+            return ("value",), f"a mass must be in (0, 1], got {self.value!r}"
         return None
 
 

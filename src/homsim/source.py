@@ -23,8 +23,10 @@ PQ - R^2 = a g (gvm_s - gvm_i)^2, whose two terms are non-negative, so no
 rounding cancels along the correlation ridge.  A centred Gaussian filter of
 FWHM w adds 2 ln2/w^2 to P or Q, and the heralded purity is
 sqrt(1 - R^2/PQ) (Grice & Walmsley, PRA 56, 1627 (1997); Law, Walmsley &
-Eberly, PRL 84, 5304 (2000)).  Filtering multiplies by the two 1-D
-amplitude transmissions, and the norm is taken once, by the constructor.
+Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated in
+place as sin(x)/x times the pump envelope, two N_s x N_i arrays in all.
+Filtering multiplies by the two 1-D amplitude transmissions, and the norm is
+taken once, by the constructor.
 """
 
 from __future__ import annotations
@@ -204,9 +206,16 @@ def build_jsa(
     ws = grid_signal.detunings
     wi = grid_idler.detunings
     if pm.model == "sinc":
-        pump_amp = np.exp(-TWO_LN2 * ((ws[:, None] + wi) / pump.angular_fwhm) ** 2)
-        x = 0.5 * pm.crystal_length * (pm.gvm_signal * ws[:, None] + pm.gvm_idler * wi)
-        return JointSpectralAmplitude(grid_signal, grid_idler, pump_amp * np.sinc(x / math.pi))
+        x = np.add.outer(pm.gvm_signal * ws, pm.gvm_idler * wi)
+        x *= 0.5 * pm.crystal_length
+        x[x == 0.0] = 1e-300  # sin(x)/x -> 1
+        amp = np.sin(x)
+        amp /= x
+        pump_amp = np.add.outer(ws / pump.angular_fwhm, wi / pump.angular_fwhm, out=x)
+        pump_amp *= pump_amp
+        pump_amp *= -TWO_LN2
+        amp *= np.exp(pump_amp, out=pump_amp)
+        return JointSpectralAmplitude(grid_signal, grid_idler, amp)
     # One exponential of the completed square (see the module docstring);
     # expanding P ws^2 + Q wi^2 + 2R ws wi instead loses up to 1e-12 of the
     # peak to cancellation when gvm_s is close to gvm_i.

@@ -272,6 +272,17 @@ def test_cli_unknown_delay_scan_source_is_config_error(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_cli_mass_above_one_is_config_error(tmp_path):
+    path = tmp_path / "mass.yaml"
+    data = {"name": "mass", "mode": "two-photon-scan", "truncation": {"kind": "mass", "value": 1.5}}
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "truncation.value" in result.output
+    assert not out.exists()
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     # A flat-top filter far off the grid annihilates the JSA.
     scenario = {

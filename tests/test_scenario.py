@@ -297,6 +297,14 @@ def test_rank_truncation_takes_an_integral_rank(value):
     assert scenario_from_dict(data).truncation.value == 2.0
 
 
+@pytest.mark.parametrize("value", [1.5, 0.0, -0.5, float("inf"), float("nan")])
+def test_mass_truncation_lies_in_the_unit_interval(value):
+    data = edited("truncation", {"kind": "mass", "value": value})
+    rejects_at("truncation.value", data)
+    data["truncation"]["value"] = 1.0
+    assert scenario_from_dict(data).truncation.value == 1.0
+
+
 def test_delay_scan_names_a_network_source():
     rejects_at("network.delay_scan.source", edited("network.delay_scan.source", "nope"))
 

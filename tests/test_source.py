@@ -255,6 +255,33 @@ def test_real_build_matches_two_exponential_oracle(
     assert np.max(np.abs(filtered.amplitudes - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    duration=st.floats(60.0, 400.0),
+    length=st.floats(0.3, 4.0),
+    gvm_signal=st.floats(-400.0, 400.0),
+    gvm_idler=st.one_of(st.just(None), st.floats(-400.0, 400.0)),
+    n=st.tuples(st.integers(16, 160), st.integers(16, 160)),
+    span=st.tuples(st.floats(2.0, 6.0), st.floats(2.0, 6.0)),
+)
+def test_sinc_build_matches_product_form(duration, length, gvm_signal, gvm_idler, n, span):
+    """The in-place sin(x)/x build against np.sinc(x/pi) times the pump.  An
+    idler slope drawn as None is -gvm_signal on the signal's grid, which puts
+    x = 0 on the whole diagonal."""
+    grid_s = make_grid(780.0, 10.0, span[0], n[0])
+    grid_i = make_grid(780.0, 10.0, span[1], n[1])
+    if gvm_idler is None:
+        gvm_idler, grid_i = -gvm_signal, grid_s
+    assume(gvm_signal != gvm_idler)
+    pump = PumpSpectrum(pulse_duration_fwhm=duration)
+    pm = PhaseMatching(
+        crystal_length=length, model="sinc", gvm_signal=gvm_signal, gvm_idler=gvm_idler
+    )
+    expected = oracle_build_jsa(pump, pm, grid_s, grid_i)
+    got = build_jsa(pump, pm, grid_s, grid_i).amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_jsa_keeps_the_kind_of_matrix_it_is_given(default_jsa, grid):
     amp = default_jsa.amplitudes
     assert amp.dtype == np.float64
