@@ -9,72 +9,34 @@ audit multi-path networks for dispersion-cancellation conditions.
 
 __version__ = "0.1.0"
 
-from .dispersion import DispersiveElement, broadened_duration, gvd_phase
-from .errors import (
-    DegenerateFilterError,
-    DegenerateStateError,
-    FitFailureError,
-    IncompatibleGridError,
-    InvalidArgumentError,
-    InvalidNetworkError,
-    NoDipError,
-    ScenarioError,
-    ScenarioNotFoundError,
-    ScenarioParseError,
-    SimulationError,
-    UnsupportedNetworkError,
-)
 from .hom import (
-    DipMetrics,
-    InterferenceScan,
     ScanConfig,
-    coincidence_probability,
     coincidence_probability_oracle,
     default_scan_config,
     fit_dip,
     scan,
-    visibility_curve,
 )
-from .network import (
-    BeamSplitterNode,
-    CancellationReport,
-    DetectorNode,
-    NetworkEdge,
-    NetworkSpec,
-    PathDispersion,
-    SourceNode,
-    accumulated_dispersion,
-    check_cancellation,
-    cascade_network,
-    outcome_probabilities,
-    three_photon_coincidence,
-)
-from .scenario import Scenario, list_presets, load_preset, parse_scenario
-from .schmidt import (
-    HeraldedState,
-    SchmidtDecomposition,
-    herald,
-    postulate_pure_state,
-    purity,
-    schmidt_decompose,
-    schmidt_number,
-)
-from .source import (
-    BandpassFilter,
-    JointSpectralAmplitude,
-    PhaseMatching,
-    PumpSpectrum,
-    apply_filters,
-    build_jsa,
-    jsi,
-)
-from .spectral import (
-    FrequencyGrid,
-    SpectralFunction,
-    fwhm_wavelength_to_angular,
-    gaussian_mode,
-    inner_product,
-    make_grid,
-)
+from .schmidt import herald, postulate_pure_state, purity, schmidt_decompose
+from .source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
+from .spectral import make_grid
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The library of the README's example, plus the pure-state and oracle entry
+# points; every other name is imported from its module (homsim.network,
+# homsim.scenario, homsim.runner, ...).
+__all__ = [
+    "BandpassFilter",
+    "PhaseMatching",
+    "PumpSpectrum",
+    "ScanConfig",
+    "apply_filters",
+    "build_jsa",
+    "coincidence_probability_oracle",
+    "default_scan_config",
+    "fit_dip",
+    "herald",
+    "make_grid",
+    "postulate_pure_state",
+    "purity",
+    "scan",
+    "schmidt_decompose",
+]

@@ -1,14 +1,14 @@
 """Command-line scenario runner.
 
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure,
-4 I/O failure.
+Exit codes: 0 success, 2 configuration problem (a usage error included),
+3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
+from typing import NoReturn
 
 from .errors import (
     DegenerateFilterError,
@@ -34,57 +34,67 @@ _NUMERICAL_ERRORS = (
 )
 
 
-@click.group()
-def main() -> None:
-    """Heralded-photon interference simulator."""
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind} error: {exc}", file=sys.stderr)
+    return code
 
 
-@main.command(name="run")
-@click.argument("scenario_file", required=False, type=click.Path())
-@click.option("--preset", "preset_name", default=None, help="Run a built-in preset.")
-@click.option(
-    "--out",
-    "out_dir",
-    default=None,
-    type=str,
-    help="Output directory (overrides the scenario's).",
-)
-def run_command(scenario_file: str | None, preset_name: str | None, out_dir):
+def run_command(args: argparse.Namespace) -> int:
     """Execute SCENARIO_FILE (YAML) or a named --preset."""
-    if (scenario_file is None) == (preset_name is None):
-        raise click.UsageError("give exactly one of SCENARIO_FILE or --preset")
+    if (args.scenario_file is None) == (args.preset is None):
+        args.parser.error("give exactly one of SCENARIO_FILE or --preset")
     try:
         scenario = (
-            load_preset(preset_name)
-            if preset_name is not None
-            else parse_scenario(scenario_file)
+            load_preset(args.preset)
+            if args.preset is not None
+            else parse_scenario(args.scenario_file)
         )
-        result = run_scenario(scenario, out_dir=out_dir)
+        result = run_scenario(scenario, out_dir=args.out)
     except ScenarioError as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        return _fail("configuration", exc, EXIT_CONFIG)
     except _NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+        return _fail("numerical", exc, EXIT_NUMERICAL)
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        return _fail("i/o", exc, EXIT_IO)
     except SimulationError as exc:
         # Remaining simulation errors stem from inconsistent configuration.
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        return _fail("configuration", exc, EXIT_CONFIG)
     for message in result.warnings:
-        click.echo(f"warning: {message}", err=True)
+        print(f"warning: {message}", file=sys.stderr)
     for name in result.files:
-        click.echo(str(result.out_dir / name))
+        print(result.out_dir / name)
+    return 0
 
 
-@main.command(name="presets")
-def presets_command() -> None:
+def presets_command(args: argparse.Namespace) -> int:
     """List the built-in scenario presets."""
     for name in list_presets():
-        scenario = load_preset(name)
-        click.echo(f"{name}: mode={scenario.mode}")
+        print(f"{name}: mode={load_preset(name).mode}")
+    return 0
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Heralded-photon interference simulator."
+    )
+    commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+    run = commands.add_parser("run", help=run_command.__doc__, description=run_command.__doc__)
+    run.add_argument("scenario_file", nargs="?", metavar="SCENARIO_FILE")
+    run.add_argument("--preset", metavar="NAME", help="Run a built-in preset.")
+    run.add_argument("--out", metavar="DIR", help="Output directory (overrides the scenario's).")
+    run.set_defaults(command=run_command, parser=run)
+    presets = commands.add_parser(
+        "presets", help=presets_command.__doc__, description=presets_command.__doc__
+    )
+    presets.set_defaults(command=presets_command)
+    return parser
+
+
+def main(argv: list[str] | None = None, prog_name: str = "sim") -> NoReturn:
+    """Parse ``argv`` (``sys.argv[1:]`` by default), run the command and exit
+    with its code: this always ends in ``SystemExit``, 2 on a usage error."""
+    args = _parser(prog_name).parse_args(argv)
+    sys.exit(args.command(args))
 
 
 if __name__ == "__main__":

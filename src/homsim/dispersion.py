@@ -1,44 +1,19 @@
-"""Group-velocity-dispersion phase and Gaussian pulse-broadening estimates.
+"""Gaussian pulse broadening by group-velocity dispersion.
 
-Only the product beta*L (fs^2) is physically relevant; the quadratic phase is
-evaluated on detunings, with the constant and linear (group-delay) terms
-dropped because they cancel from the interference observables.
+Only the product beta*L (fs^2) of a medium is physically relevant.  The
+interference code applies the quadratic phase exp(-i beta*L w^2/2) on
+detunings itself (``hom``, ``network``); the constant and linear
+(group-delay) terms are dropped because they cancel from the interference
+observables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .constants import FOUR_LN2, GAUSSIAN_TIME_BANDWIDTH
 from .errors import InvalidArgumentError
 from .spectral import fwhm_wavelength_to_angular
-
-
-@dataclass(frozen=True)
-class DispersiveElement:
-    """A dispersive medium: GVD parameter beta (fs^2/mm) and length (mm)."""
-
-    beta: float
-    length: float
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise InvalidArgumentError(f"length must be >= 0, got {self.length}")
-
-    @property
-    def beta_l(self) -> float:
-        return self.beta * self.length
-
-
-def gvd_phase(detuning, beta_l: float):
-    """Quadratic spectral phase 0.5 * beta*L * W^2 (radians); even in W.
-
-    Accepts a scalar or an array of detunings.
-    """
-    return 0.5 * beta_l * np.square(detuning)
 
 
 def broadened_duration(

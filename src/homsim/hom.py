@@ -55,7 +55,7 @@ _FIT_LOWER = np.array([0.0, 0.0, -np.inf, 0.0])
 _FIT_UPPER = np.array([np.inf, 1.0, np.inf, np.inf])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ScanConfig:
     """Uniform delay scan window (fs)."""
 
@@ -75,7 +75,7 @@ class ScanConfig:
         return np.linspace(self.tau_min, self.tau_max, self.n_steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class InterferenceScan:
     """Coincidence probability samples over delay."""
 
@@ -100,7 +100,7 @@ class InterferenceScan:
         object.__setattr__(self, "probabilities", probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DipMetrics:
     """Gaussian-fit parameters of an interference dip.
 

@@ -2,10 +2,11 @@
 coincidence probabilities.
 
 A network is a DAG of sources, 2x2 beam splitters and detectors.  Edges may
-carry a dispersive element; a photon path accumulates the sum of beta*L over
-its edges.  Dispersion cancels from every interference observable exactly
-when, at each beam splitter, all arriving paths carry equal accumulated
-beta*L - the condition checked by :func:`check_cancellation`.  One walk over
+carry dispersion, a beta*L product; a photon path accumulates the sum of
+beta*L over its edges.  Dispersion cancels from every interference
+observable exactly when, at each beam splitter, all arriving paths carry
+equal accumulated beta*L - the condition checked by
+:func:`check_cancellation`.  One walk over
 the graph (:func:`_walk`) gives both that bookkeeping and the transfer terms
 of the simulation.
 
@@ -41,7 +42,6 @@ from functools import reduce
 
 import numpy as np
 
-from .dispersion import DispersiveElement
 from .errors import InvalidArgumentError, InvalidNetworkError, UnsupportedNetworkError
 from .schmidt import HeraldedState
 from .spectral import SpectralFunction
@@ -55,7 +55,7 @@ def splitter_50_50() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SourceNode:
     """Single-photon source; ``delay`` (fs) shifts its photon's arrival."""
 
@@ -63,7 +63,7 @@ class SourceNode:
     delay: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BeamSplitterNode:
     """2x2 lossless node; ports are ``<id>.in0/.in1`` and ``<id>.out0/.out1``."""
 
@@ -80,30 +80,28 @@ class BeamSplitterNode:
         object.__setattr__(self, "unitary", u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DetectorNode:
+    """Photon counter at the end of a path."""
+
     id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NetworkEdge:
     """Directed connection between two ports, optionally dispersive.
 
     ``start`` is a source id or ``<bs>.out0/.out1``; ``end`` is a detector id
-    or ``<bs>.in0/.in1``.  At most one dispersive element sits on an edge;
-    series media are composed by summing their beta*L.
+    or ``<bs>.in0/.in1``.  ``beta_l`` (fs^2) is the dispersion product of
+    the media on the edge; series media add their beta*L.
     """
 
     start: str
     end: str
-    element: DispersiveElement | None = None
-
-    @property
-    def beta_l(self) -> float:
-        return 0.0 if self.element is None else self.element.beta_l
+    beta_l: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PathDispersion:
     """Accumulated beta*L (fs^2) along one source -> beam-splitter path."""
 
@@ -113,21 +111,14 @@ class PathDispersion:
     via: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    beam_splitter: str
-    first: PathDispersion
-    second: PathDispersion
-
-    @property
-    def mismatch(self) -> float:
-        return abs(self.first.beta_l - self.second.beta_l)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CancellationReport:
+    """Outcome of :func:`check_cancellation`: each violation is a pair of
+    paths into the same beam splitter whose beta*L differ by more than
+    ``tolerance`` (fs^2)."""
+
     satisfied: bool
-    violations: tuple[Violation, ...]
+    violations: tuple[tuple[PathDispersion, PathDispersion], ...]
     tolerance: float
 
     def to_json_dict(self) -> dict:
@@ -136,20 +127,12 @@ class CancellationReport:
             "tolerance_fs2": self.tolerance,
             "violations": [
                 {
-                    "beam_splitter": v.beam_splitter,
-                    "path_a": {
-                        "source": v.first.source,
-                        "via": list(v.first.via),
-                        "beta_l_fs2": v.first.beta_l,
-                    },
-                    "path_b": {
-                        "source": v.second.source,
-                        "via": list(v.second.via),
-                        "beta_l_fs2": v.second.beta_l,
-                    },
-                    "mismatch_fs2": v.mismatch,
+                    "beam_splitter": a.beam_splitter,
+                    "path_a": {"source": a.source, "via": list(a.via), "beta_l_fs2": a.beta_l},
+                    "path_b": {"source": b.source, "via": list(b.via), "beta_l_fs2": b.beta_l},
+                    "mismatch_fs2": abs(a.beta_l - b.beta_l),
                 }
-                for v in self.violations
+                for a, b in self.violations
             ],
         }
 
@@ -230,12 +213,6 @@ class NetworkSpec:
             if s not in state:
                 visit(s)
 
-    def source(self, source_id: str) -> SourceNode:
-        for s in self.sources:
-            if s.id == source_id:
-                return s
-        raise InvalidArgumentError(f"unknown source {source_id!r}")
-
 
 def _walk(
     net: NetworkSpec,
@@ -308,12 +285,12 @@ def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> Cancellatio
     by_bs: dict[str, list[PathDispersion]] = {}
     for p in paths:
         by_bs.setdefault(p.beam_splitter, []).append(p)
-    violations: list[Violation] = []
-    for bs in sorted(by_bs):
-        group = by_bs[bs]
-        for a, b in itertools.combinations(group, 2):
-            if abs(a.beta_l - b.beta_l) > tolerance:
-                violations.append(Violation(bs, a, b))
+    violations = [
+        (a, b)
+        for bs in sorted(by_bs)
+        for a, b in itertools.combinations(by_bs[bs], 2)
+        if abs(a.beta_l - b.beta_l) > tolerance
+    ]
     return CancellationReport(
         satisfied=not violations, violations=tuple(violations), tolerance=tolerance
     )
@@ -445,33 +422,3 @@ def three_photon_coincidence(
         )
     return outcome_probabilities(net, inputs, delays)[(1, 1, 1)]
 
-
-def cascade_network(
-    beta_l_1: float,
-    beta_l_2: float,
-    beta_l_3: float,
-    beta_l_12: float,
-    delays: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> NetworkSpec:
-    """The cascaded two-splitter topology: sources 1 and 2 meet at splitter A,
-    one output of A and source 3 meet at splitter B; detectors on the
-    remaining three outputs.  The four dispersive media sit on the two source
-    arms into A, the A->B connection, and the source-3 arm into B."""
-    return NetworkSpec(
-        sources=[
-            SourceNode("s1", delays[0]),
-            SourceNode("s2", delays[1]),
-            SourceNode("s3", delays[2]),
-        ],
-        beam_splitters=[BeamSplitterNode("A"), BeamSplitterNode("B")],
-        detectors=[DetectorNode("d1"), DetectorNode("d2"), DetectorNode("d3")],
-        edges=[
-            NetworkEdge("s1", "A.in0", DispersiveElement(beta_l_1, 1.0)),
-            NetworkEdge("s2", "A.in1", DispersiveElement(beta_l_2, 1.0)),
-            NetworkEdge("A.out0", "d1"),
-            NetworkEdge("A.out1", "B.in0", DispersiveElement(beta_l_12, 1.0)),
-            NetworkEdge("s3", "B.in1", DispersiveElement(beta_l_3, 1.0)),
-            NetworkEdge("B.out0", "d2"),
-            NetworkEdge("B.out1", "d3"),
-        ],
-    )

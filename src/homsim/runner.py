@@ -16,7 +16,7 @@ import yaml
 
 from . import __version__, io
 from .constants import GAUSSIAN_TIME_BANDWIDTH
-from .dispersion import DispersiveElement, broadened_duration
+from .dispersion import broadened_duration
 from .errors import InvalidArgumentError
 from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
 from .network import (
@@ -58,8 +58,11 @@ NETWORK_MIN_POINTS = 48
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunResult:
+    """What a run wrote: the resolved scenario, the output directory, the
+    file names and the numerical-health warnings."""
+
     scenario: Scenario
     out_dir: Path
     files: list[str]
@@ -127,12 +130,12 @@ def build_network(cfg: NetworkConfig) -> NetworkSpec:
     edges = []
     for e in cfg.edges:
         if e.beta_l_fs2 is not None:
-            element = DispersiveElement(e.beta_l_fs2, 1.0)
+            beta_l = e.beta_l_fs2
         elif e.beta_fs2_per_mm is not None:
-            element = DispersiveElement(e.beta_fs2_per_mm, e.length_mm)
+            beta_l = e.beta_fs2_per_mm * e.length_mm
         else:
-            element = None
-        edges.append(NetworkEdge(e.start, e.end, element))
+            beta_l = 0.0
+        edges.append(NetworkEdge(e.start, e.end, beta_l))
     return NetworkSpec(sources, splitters, detectors, edges)
 
 

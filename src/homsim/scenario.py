@@ -44,62 +44,83 @@ from .errors import ScenarioNotFoundError, ScenarioParseError
 from .source import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 
 
+# The sections are never compared or printed, so no __eq__ or __repr__ is
+# generated (each generated method costs import time).
+_section = dataclass(frozen=True, kw_only=True, eq=False, repr=False)
+
+
 def _bounded(default=dataclasses.MISSING, **bound):
     """A field with a ``gt`` or ``ge`` bound, required when no default is given."""
     return field(default=default, metadata=bound)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class PumpConfig:
+    """Pump pulse: centre wavelength (nm) and intensity FWHM duration (fs)."""
+
     center_wavelength_nm: float = _bounded(390.0, gt=0)
     pulse_duration_fwhm_fs: float = _bounded(140.0, gt=0)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class PhaseMatchingConfig:
+    """Crystal length (mm), phase-matching model and mismatch slopes (fs/mm)."""
+
     crystal_length_mm: float = _bounded(1.0, gt=0)
     model: Literal["sinc", "gaussian-approx"] = "gaussian-approx"
     gvm_signal_fs_per_mm: float = DEFAULT_GVM_SIGNAL
     gvm_idler_fs_per_mm: float = DEFAULT_GVM_IDLER
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class GridConfig:
+    """Detuning grid of both photons (see ``spectral.make_grid``)."""
+
     n_points: int = _bounded(512, ge=8)
     span_factor: float = _bounded(4.0, ge=2)
     reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class SourceConfig:
+    """The down-conversion source: pump, phase matching and grid."""
+
     pump: PumpConfig = field(default_factory=PumpConfig)
     phase_matching: PhaseMatchingConfig = field(default_factory=PhaseMatchingConfig)
     grid: GridConfig = field(default_factory=GridConfig)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class FilterConfig:
+    """One bandpass filter (nm)."""
+
     center_wavelength_nm: float = _bounded(780.0, gt=0)
     fwhm_nm: float = _bounded(gt=0)
     shape: Literal["gaussian", "flattop"] = "gaussian"
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class FiltersConfig:
+    """Signal and idler filters; an absent one leaves its arm unfiltered."""
+
     signal: FilterConfig | None = None
     idler: FilterConfig | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class DispersionConfig:
+    """Fiber GVD (fs^2/mm) and the two arm lengths (mm), or a curve's offsets."""
+
     beta_fs2_per_mm: float = 37.802
     length_1_mm: float = _bounded(0.0, ge=0)
     length_2_mm: float = _bounded(0.0, ge=0)
     delta_lengths_mm: list[float] | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class TruncationConfig:
+    """Schmidt truncation rule: a kept mass, rank or eigenvalue threshold."""
+
     kind: Literal["mass", "rank", "threshold"] = "mass"
     value: float = 0.999
 
@@ -111,28 +132,36 @@ class TruncationConfig:
         return None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class ScanSettings:
+    """Explicit delay-scan window (fs) and sample count."""
+
     tau_min_fs: float = -3000.0
     tau_max_fs: float = 3000.0
     n_steps: int = _bounded(241, ge=3)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class NetworkSourceConfig:
+    """A network photon source and its delay (fs)."""
+
     id: str
     delay_fs: float = 0.0
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class NetworkSplitterConfig:
+    """A 2x2 beam splitter, 50/50 unless a unitary is given."""
+
     id: str
     # Optional 2x2 unitary as [[ [re, im], [re, im] ], [ ... ]]; 50/50 if omitted.
     unitary: list[list[list[float]]] | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class NetworkEdgeConfig:
+    """A wire between two ports, with beta+length or beta_l_fs2 dispersion."""
+
     start: str
     end: str
     beta_fs2_per_mm: float | None = None
@@ -148,8 +177,10 @@ class NetworkEdgeConfig:
         return None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class NetworkGridConfig:
+    """Detuning grid of the network photons."""
+
     center_wavelength_nm: float = _bounded(780.0, gt=0)
     # None: the runner derives it from the network and writes it to the manifest.
     n_points: int | None = _bounded(None, ge=8)
@@ -157,16 +188,20 @@ class NetworkGridConfig:
     reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class DelayScanConfig:
+    """Delay scan of one network source (fs)."""
+
     source: str
     min_fs: float = -150.0
     max_fs: float = 150.0
     n_steps: int = _bounded(5, ge=2)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class NetworkConfig:
+    """Nodes, edges, grid and photon bandwidth of a network scenario."""
+
     sources: list[NetworkSourceConfig]
     beam_splitters: list[NetworkSplitterConfig]
     detectors: list[str]
@@ -186,8 +221,10 @@ class NetworkConfig:
         return None
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class BroadeningConfig:
+    """Gaussian pulse-broadening table over fiber lengths (mm)."""
+
     bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
     center_wavelength_nm: float = _bounded(780.0, gt=0)
     beta_fs2_per_mm: float = 37.802
@@ -195,8 +232,10 @@ class BroadeningConfig:
     input_duration_fs: float | None = _bounded(None, gt=0)
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class OutputConfig:
+    """Output directory, file basename and optional extra files."""
+
     directory: str = "."
     basename: str | None = None
     emit_jsi: bool = False
@@ -213,8 +252,10 @@ Mode = Literal[
 ]
 
 
-@dataclass(frozen=True, kw_only=True)
+@_section
 class Scenario:
+    """One simulation run: its mode and every section it reads."""
+
     name: str
     mode: Mode
     source: SourceConfig = field(default_factory=SourceConfig)

@@ -76,7 +76,7 @@ _SEED = 20110909
 _PIVOT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SchmidtDecomposition:
     """Truncated Schmidt spectrum with orthonormal signal/idler modes.
 
@@ -101,7 +101,7 @@ class SchmidtDecomposition:
             raise InvalidArgumentError("rank does not match the mode/eigenvalue count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HeraldedState:
     """Spectrally mixed heralded photon: weights over signal mode functions."""
 
@@ -285,25 +285,6 @@ def _tie_broken_order(eigenvalues: np.ndarray, modes: list[SpectralFunction]) ->
             order[i:j] = sorted(order[i:j], key=lambda k: first_moment(modes[k]))
         i = j
     return order
-
-
-def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
-    """Rebuild the quadrature-weighted JSA matrix from the kept modes.
-
-    The Frobenius distance to the original weighted matrix is bounded by
-    sqrt(tail_mass).
-    """
-    ds = decomp.signal_modes[0].grid.spacing
-    di = decomp.idler_modes[0].grid.spacing
-    scale = 1.0 - decomp.tail_mass  # undo the post-truncation renormalization
-    out = np.zeros(
-        (decomp.signal_modes[0].grid.n_points, decomp.idler_modes[0].grid.n_points),
-        dtype=complex,
-    )
-    for lam, phi, psi in zip(decomp.eigenvalues, decomp.signal_modes, decomp.idler_modes):
-        coeff = math.sqrt(lam * scale * ds * di)
-        out += coeff * np.outer(phi.amplitudes, psi.amplitudes)
-    return out
 
 
 def herald(decomp: SchmidtDecomposition) -> HeraldedState:

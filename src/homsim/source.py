@@ -25,8 +25,10 @@ FWHM w adds 2 ln2/w^2 to P or Q, and the heralded purity is
 sqrt(1 - R^2/PQ) (Grice & Walmsley, PRA 56, 1627 (1997); Law, Walmsley &
 Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated in
 place as sin(x)/x times the pump envelope, two N_s x N_i arrays in all.
-Filtering multiplies by the two 1-D amplitude transmissions, and the norm is
-taken once, by the constructor.
+Filtering multiplies by the two 1-D amplitude transmissions.  The norm is
+taken once per matrix: ``build_jsa`` and ``apply_filters`` scale the fresh
+matrix they made in place, while the public constructor scales a copy and
+never touches the caller's array.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ DEFAULT_GVM_SIGNAL = 340.0
 DEFAULT_GVM_IDLER = 120.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PumpSpectrum:
     """Transform-limited Gaussian pump pulse.
 
@@ -79,7 +81,7 @@ class PumpSpectrum:
         return 2.0 * math.pi * GAUSSIAN_TIME_BANDWIDTH / self.pulse_duration_fwhm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PhaseMatching:
     """Type-II phase-matching model, first order in the detunings.
 
@@ -107,7 +109,7 @@ class PhaseMatching:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BandpassFilter:
     """Bandpass filter described by its intensity transmission profile."""
 
@@ -141,7 +143,7 @@ class BandpassFilter:
         return np.where(np.abs(x) <= width / 2.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class JointSpectralAmplitude:
     """Signal x idler amplitude matrix, L2-normalized on construction.
 
@@ -160,21 +162,43 @@ class JointSpectralAmplitude:
     def __post_init__(self) -> None:
         amp = self.amplitudes
         amp = np.asarray(amp, dtype=complex if np.iscomplexobj(amp) else float)
-        expected = (self.grid_signal.n_points, self.grid_idler.n_points)
-        if amp.shape != expected:
-            raise InvalidArgumentError(
-                f"amplitude matrix shape {amp.shape}, expected {expected}"
-            )
-        norm = _norm(amp, self.grid_signal, self.grid_idler)
-        if norm < 1e-15:
-            raise InvalidArgumentError("joint spectral amplitude has zero norm")
-        amp = amp * (1.0 / norm)
+        scale = _inverse_norm(amp, self.grid_signal, self.grid_idler)
+        amp = amp * scale  # a new array: the caller's is never touched
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def norm(self) -> float:
         return _norm(self.amplitudes, self.grid_signal, self.grid_idler)
+
+
+def _owning_jsa(
+    grid_signal: FrequencyGrid, grid_idler: FrequencyGrid, amp: np.ndarray
+) -> JointSpectralAmplitude:
+    """The JSA of ``amp``, a float64 or complex128 array that the caller
+    made for it and drops: it is normalised in place and becomes read-only,
+    with the same bits as the constructor's copy."""
+    amp *= _inverse_norm(amp, grid_signal, grid_idler)
+    amp.setflags(write=False)
+    jsa = object.__new__(JointSpectralAmplitude)
+    object.__setattr__(jsa, "grid_signal", grid_signal)
+    object.__setattr__(jsa, "grid_idler", grid_idler)
+    object.__setattr__(jsa, "amplitudes", amp)
+    return jsa
+
+
+def _inverse_norm(
+    amp: np.ndarray, grid_signal: FrequencyGrid, grid_idler: FrequencyGrid
+) -> float:
+    """1/norm of an amplitude matrix on the grids, after checking its shape
+    and that its norm is not zero."""
+    expected = (grid_signal.n_points, grid_idler.n_points)
+    if amp.shape != expected:
+        raise InvalidArgumentError(f"amplitude matrix shape {amp.shape}, expected {expected}")
+    norm = _norm(amp, grid_signal, grid_idler)
+    if norm < 1e-15:
+        raise InvalidArgumentError("joint spectral amplitude has zero norm")
+    return 1.0 / norm
 
 
 def _norm(amp: np.ndarray, grid_signal: FrequencyGrid, grid_idler: FrequencyGrid) -> float:
@@ -215,7 +239,7 @@ def build_jsa(
         pump_amp *= pump_amp
         pump_amp *= -TWO_LN2
         amp *= np.exp(pump_amp, out=pump_amp)
-        return JointSpectralAmplitude(grid_signal, grid_idler, amp)
+        return _owning_jsa(grid_signal, grid_idler, amp)
     # One exponential of the completed square (see the module docstring);
     # expanding P ws^2 + Q wi^2 + 2R ws wi instead loses up to 1e-12 of the
     # peak to cancellation when gvm_s is close to gvm_i.
@@ -227,7 +251,7 @@ def build_jsa(
     exponent = np.add.outer(math.sqrt(p) * ws, r / math.sqrt(p) * wi)
     exponent *= exponent
     np.subtract(-d * wi**2, exponent, out=exponent)
-    return JointSpectralAmplitude(grid_signal, grid_idler, np.exp(exponent, out=exponent))
+    return _owning_jsa(grid_signal, grid_idler, np.exp(exponent, out=exponent))
 
 
 def apply_filters(
@@ -254,7 +278,7 @@ def apply_filters(
     filtered = jsa.amplitudes * ts[:, None]
     filtered *= ti
     try:
-        return JointSpectralAmplitude(jsa.grid_signal, jsa.grid_idler, filtered)
+        return _owning_jsa(jsa.grid_signal, jsa.grid_idler, filtered)
     except InvalidArgumentError as exc:  # the grids match, so only a zero norm
         raise DegenerateFilterError(
             "bandpass filters annihilate the joint spectral amplitude"
@@ -264,32 +288,3 @@ def apply_filters(
 def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
     """Joint spectral intensity |A|^2 (non-negative, integrates to 1)."""
     return np.abs(jsa.amplitudes) ** 2
-
-
-def marginal_intensity_fwhm(jsa: JointSpectralAmplitude, axis: str = "signal") -> float:
-    """FWHM (rad/fs) of the signal or idler marginal of the JSI.
-
-    Linear interpolation between samples locates the half-maximum crossings;
-    accuracy is limited by one grid spacing.
-    """
-    intensity = jsi(jsa)
-    if axis == "signal":
-        marginal = intensity.sum(axis=1)
-        grid = jsa.grid_signal
-    elif axis == "idler":
-        marginal = intensity.sum(axis=0)
-        grid = jsa.grid_idler
-    else:
-        raise InvalidArgumentError(f"axis must be 'signal' or 'idler', got {axis!r}")
-    half = marginal.max() / 2.0
-    above = np.nonzero(marginal >= half)[0]
-    lo, hi = above[0], above[-1]
-    x = grid.detunings
-
-    def cross(i_out: int, i_in: int) -> float:
-        if i_out < 0 or i_out >= len(x):
-            return x[i_in]
-        y0, y1 = marginal[i_out], marginal[i_in]
-        return x[i_out] + (half - y0) / (y1 - y0) * (x[i_in] - x[i_out])
-
-    return cross(hi + 1, hi) - cross(lo - 1, lo)

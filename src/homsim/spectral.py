@@ -30,7 +30,7 @@ def fwhm_wavelength_to_angular(delta_lambda: float, center_lambda: float) -> flo
     return 2.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS * delta_lambda / center_lambda**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FrequencyGrid:
     """Uniform detuning grid, symmetric about zero, around a carrier wavelength.
 
@@ -114,7 +114,7 @@ def make_grid(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SpectralFunction:
     """A complex amplitude sampled on a :class:`FrequencyGrid`.
 
@@ -146,15 +146,6 @@ class SpectralFunction:
         if n == 0.0:
             raise InvalidArgumentError("cannot normalize a zero spectral function")
         return SpectralFunction(self.grid, self.amplitudes / n)
-
-
-def inner_product(f: SpectralFunction, g: SpectralFunction) -> complex:
-    """Discretized overlap integral <f|g> = sum conj(f_k) g_k * spacing.
-
-    Conjugate-linear in the first argument.
-    """
-    f.grid.require_same(g.grid)
-    return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.spacing)
 
 
 def gaussian_mode(

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from homsim.dispersion import DispersiveElement, broadened_duration, gvd_phase
+from helpers import DispersiveElement, cascade_network, gvd_phase
+from homsim.dispersion import broadened_duration
 from homsim.hom import (
     ScanConfig,
     coincidence_probability,
@@ -20,7 +21,7 @@ from homsim.hom import (
     scan,
     visibility_curve,
 )
-from homsim.network import cascade_network, outcome_probabilities, three_photon_coincidence
+from homsim.network import outcome_probabilities, three_photon_coincidence
 from homsim.schmidt import (
     HeraldedState,
     herald,
@@ -264,8 +265,8 @@ def test_criterion_10_network_reduces_to_two_photon_result():
             beam_splitters=[BeamSplitterNode("BS")],
             detectors=[DetectorNode("d1"), DetectorNode("d2")],
             edges=[
-                NetworkEdge("a", "BS.in0", DispersiveElement(b1, 1.0)),
-                NetworkEdge("b", "BS.in1", DispersiveElement(b2, 1.0)),
+                NetworkEdge("a", "BS.in0", b1),
+                NetworkEdge("b", "BS.in1", b2),
                 NetworkEdge("BS.out0", "d1"),
                 NetworkEdge("BS.out1", "d2"),
             ],

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from homsim.dispersion import DispersiveElement, broadened_duration, gvd_phase
+from helpers import DispersiveElement, gvd_phase
+from homsim.dispersion import broadened_duration
 from homsim.errors import InvalidArgumentError
 from homsim.hom import ScanConfig, scan
 from homsim.schmidt import herald, schmidt_decompose

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import DispersiveElement, gvd_phase
 from homsim import hom, runner
 from homsim.constants import FOUR_LN2
-from homsim.dispersion import DispersiveElement, gvd_phase
 from homsim.errors import (
     FitFailureError,
     IncompatibleGridError,

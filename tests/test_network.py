@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim.dispersion import DispersiveElement
+from helpers import cascade_network
 from homsim.errors import InvalidNetworkError, UnsupportedNetworkError
 from homsim.hom import ScanConfig, coincidence_probability, scan
 from homsim.network import (
@@ -18,7 +18,6 @@ from homsim.network import (
     SourceNode,
     accumulated_dispersion,
     check_cancellation,
-    cascade_network,
     detector_dispersion_spread,
     outcome_probabilities,
     three_photon_coincidence,
@@ -140,8 +139,8 @@ def single_splitter(beta_l_1=0.0, beta_l_2=0.0):
         beam_splitters=[BeamSplitterNode("BS")],
         detectors=[DetectorNode("d1"), DetectorNode("d2")],
         edges=[
-            NetworkEdge("a", "BS.in0", DispersiveElement(beta_l_1, 1.0)),
-            NetworkEdge("b", "BS.in1", DispersiveElement(beta_l_2, 1.0)),
+            NetworkEdge("a", "BS.in0", beta_l_1),
+            NetworkEdge("b", "BS.in1", beta_l_2),
             NetworkEdge("BS.out0", "d1"),
             NetworkEdge("BS.out1", "d2"),
         ],
@@ -185,7 +184,7 @@ def test_condition_ii_satisfied():
 def test_violation_reports_mismatched_pairs():
     report = check_cancellation(cascade_network(X, 2 * X, X, 0.0))
     assert not report.satisfied
-    pairs = {(v.beam_splitter, v.first.source, v.second.source) for v in report.violations}
+    pairs = {(a.beam_splitter, a.source, b.source) for a, b in report.violations}
     assert ("A", "s1", "s2") in pairs
     assert any(bs == "B" for bs, _, _ in pairs)
     payload = report.to_json_dict()
@@ -420,9 +419,9 @@ def complex_splitter():
         beam_splitters=[BeamSplitterNode("BS", splitter_unitary(0.6, 0.9, -1.3, 0.4))],
         detectors=[DetectorNode("d1"), DetectorNode("d2")],
         edges=[
-            NetworkEdge("a", "BS.in0", DispersiveElement(7e4, 1.0)),
-            NetworkEdge("b", "BS.in1", DispersiveElement(2e4, 1.0)),
-            NetworkEdge("BS.out0", "d1", DispersiveElement(3e4, 1.0)),
+            NetworkEdge("a", "BS.in0", 7e4),
+            NetworkEdge("b", "BS.in1", 2e4),
+            NetworkEdge("BS.out0", "d1", 3e4),
             NetworkEdge("BS.out1", "d2"),
         ],
     )
@@ -441,8 +440,8 @@ def mach_zehnder():
         detectors=[DetectorNode("d1"), DetectorNode("d2")],
         edges=[
             NetworkEdge("a", "A.in0"),
-            NetworkEdge("b", "A.in1", DispersiveElement(2e4, 1.0)),
-            NetworkEdge("A.out0", "B.in0", DispersiveElement(5e4, 1.0)),
+            NetworkEdge("b", "A.in1", 2e4),
+            NetworkEdge("A.out0", "B.in0", 5e4),
             NetworkEdge("A.out1", "B.in1"),
             NetworkEdge("B.out0", "d1"),
             NetworkEdge("B.out1", "d2"),
@@ -467,15 +466,15 @@ def test_engine_matches_quadrature_for_four_photons():
         ],
         detectors=[DetectorNode(f"d{k}") for k in range(4)],
         edges=[
-            NetworkEdge("s0", "A.in0", DispersiveElement(4e4, 1.0)),
+            NetworkEdge("s0", "A.in0", 4e4),
             NetworkEdge("s1", "A.in1"),
-            NetworkEdge("s2", "B.in0", DispersiveElement(1e4, 1.0)),
+            NetworkEdge("s2", "B.in0", 1e4),
             NetworkEdge("s3", "B.in1"),
-            NetworkEdge("A.out0", "C.in0", DispersiveElement(2e4, 1.0)),
+            NetworkEdge("A.out0", "C.in0", 2e4),
             NetworkEdge("B.out0", "C.in1"),
             NetworkEdge("A.out1", "d0"),
             NetworkEdge("B.out1", "d1"),
-            NetworkEdge("C.out0", "d2", DispersiveElement(5e3, 1.0)),
+            NetworkEdge("C.out0", "d2", 5e3),
             NetworkEdge("C.out1", "d3"),
         ],
     )
@@ -535,11 +534,11 @@ def random_networks(draw):
                 sources.append(SourceNode(start, draw(st.floats(-200.0, 200.0))))
                 before = 0.0
             b = potential[j] - before if balanced else draw(beta_l)
-            edges.append(NetworkEdge(start, f"B{j}.{port}", DispersiveElement(b, 1.0)))
+            edges.append(NetworkEdge(start, f"B{j}.{port}", b))
         open_outputs += [f"B{j}.out0", f"B{j}.out1"]
     detectors = [DetectorNode(f"d{k}") for k in range(len(open_outputs))]
     for d, start in zip(detectors, open_outputs):
-        edges.append(NetworkEdge(start, d.id, DispersiveElement(draw(beta_l), 1.0)))
+        edges.append(NetworkEdge(start, d.id, draw(beta_l)))
     return NetworkSpec(sources, splitters, detectors, edges)
 
 

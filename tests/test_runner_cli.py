@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import homsim
 from homsim.cli import main
@@ -43,6 +42,14 @@ NETWORK_SIM = {
 
 def read(path):
     return path.read_bytes()
+
+
+def invoke(capsys, args):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args, prog_name="sim")
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
 
 
 def test_two_photon_run_outputs(tmp_path):
@@ -191,22 +198,22 @@ def test_cancelled_network_keeps_minimum_grid(tmp_path):
     assert manifest["scenario"]["network"]["grid"]["n_points"] == 48
 
 
-def test_probability_sum_warning_reaches_sim_json_and_stderr(tmp_path, monkeypatch):
+def test_probability_sum_warning_reaches_sim_json_and_stderr(tmp_path, monkeypatch, capsys):
     path = tmp_path / "sim.yaml"
     path.write_text(yaml.safe_dump(NETWORK_SIM), encoding="utf-8")
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0
-    assert result.stderr == ""
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    assert err == ""
     payload = json.loads((tmp_path / "cascade-sim_sim.json").read_text())
     assert abs(payload["outcome_probability_sum_error"]) <= 1e-12
 
     monkeypatch.setattr(
         "homsim.runner.outcome_probabilities", lambda *args: {(1, 1, 1): 0.5, (3, 0, 0): 0.4}
     )
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0
-    assert result.stderr.startswith("warning: network outcome probabilities sum")
-    assert len(result.stderr.splitlines()) == 1
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    assert err.startswith("warning: network outcome probabilities sum")
+    assert len(err.splitlines()) == 1
     payload = json.loads((tmp_path / "cascade-sim_sim.json").read_text())
     assert payload["outcome_probability_sum_error"] == pytest.approx(-0.1, abs=1e-15)
 
@@ -220,70 +227,94 @@ def test_broadening_run(tmp_path):
     assert row["broadened_fwhm_ps"] == pytest.approx(7.027, abs=2e-3)
 
 
-def test_cli_presets_lists_builtins():
-    result = CliRunner().invoke(main, ["presets"])
-    assert result.exit_code == 0
-    assert "fig2a" in result.output
-    assert "broadening-28m" in result.output
+def test_cli_presets_lists_builtins(capsys):
+    code, out, _ = invoke(capsys, ["presets"])
+    assert code == 0
+    assert "fig2a" in out
+    assert "broadening-28m" in out
 
 
-def test_cli_runs_preset(tmp_path):
-    result = CliRunner().invoke(
-        main, ["run", "--preset", "broadening-6m", "--out", str(tmp_path)]
-    )
-    assert result.exit_code == 0
+def test_cli_runs_preset(tmp_path, capsys):
+    code, out, err = invoke(capsys, ["run", "--preset", "broadening-6m", "--out", str(tmp_path)])
+    assert code == 0
     assert (tmp_path / "broadening-6m_broadening.csv").exists()
+    # stdout lists the written files, one path a line, manifest last.
+    assert out.splitlines() == [
+        str(tmp_path / "broadening-6m_broadening.csv"),
+        str(tmp_path / "broadening-6m_manifest.yaml"),
+    ]
+    assert err == ""
 
 
-def test_cli_requires_exactly_one_source(tmp_path):
-    runner = CliRunner()
-    assert runner.invoke(main, ["run"]).exit_code == 2
-    assert (
-        runner.invoke(
-            main, ["run", "x.yaml", "--preset", "fig2a", "--out", str(tmp_path)]
-        ).exit_code
-        == 2
-    )
+def test_cli_requires_exactly_one_source(tmp_path, capsys):
+    assert invoke(capsys, ["run"])[0] == 2
+    code, out, err = invoke(capsys, ["run", "x.yaml", "--preset", "fig2a", "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert "give exactly one of SCENARIO_FILE or --preset" in err
+    assert not any(tmp_path.iterdir())
 
 
-def test_cli_missing_scenario_file_is_config_error(tmp_path):
-    result = CliRunner().invoke(main, ["run", str(tmp_path / "absent.yaml")])
-    assert result.exit_code == 2
-    assert "configuration error" in result.output
+@pytest.mark.parametrize(
+    "args",
+    [[], ["bogus"], ["run", "--bogus"], ["run", "--preset"], ["run", "a.yaml", "b.yaml"]],
+    ids=["no-command", "unknown-command", "unknown-option", "option-without-value", "two-files"],
+)
+def test_cli_usage_errors_exit_2(args, capsys):
+    code, out, err = invoke(capsys, args)
+    assert code == 2
+    assert out == ""
+    assert "usage: sim" in err
 
 
-def test_cli_invalid_scenario_is_config_error(tmp_path):
+def test_cli_main_always_ends_in_system_exit(tmp_path, monkeypatch, capsys):
+    # The caller sees the exit code as SystemExit, 0 included, never as a
+    # return value: perfbench/cli_shim.py calls main() and relies on that.
+    assert invoke(capsys, ["run", "--preset", "fig5-cond-i", "--out", str(tmp_path)])[0] == 0
+    monkeypatch.setattr(sys, "argv", ["sim", "run", str(tmp_path / "absent.yaml")])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+
+
+def test_cli_missing_scenario_file_is_config_error(tmp_path, capsys):
+    code, _, err = invoke(capsys, ["run", str(tmp_path / "absent.yaml")])
+    assert code == 2
+    assert "configuration error" in err
+
+
+def test_cli_invalid_scenario_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nmode: two-photon-scan\nbogus_key: 1\n", encoding="utf-8")
-    result = CliRunner().invoke(main, ["run", str(bad)])
-    assert result.exit_code == 2
-    assert "bogus_key" in result.output
+    code, _, err = invoke(capsys, ["run", str(bad)])
+    assert code == 2
+    assert "bogus_key" in err
 
 
-def test_cli_unknown_delay_scan_source_is_config_error(tmp_path):
+def test_cli_unknown_delay_scan_source_is_config_error(tmp_path, capsys):
     scenario = copy.deepcopy(NETWORK_SIM)
     scenario["network"]["delay_scan"]["source"] = "nope"
     path = tmp_path / "sim.yaml"
     path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
-    assert result.exit_code == 2
-    assert "network.delay_scan.source" in result.output
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(out)])
+    assert code == 2
+    assert "network.delay_scan.source" in err
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_cli_mass_above_one_is_config_error(tmp_path):
+def test_cli_mass_above_one_is_config_error(tmp_path, capsys):
     path = tmp_path / "mass.yaml"
     data = {"name": "mass", "mode": "two-photon-scan", "truncation": {"kind": "mass", "value": 1.5}}
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(out)])
-    assert result.exit_code == 2
-    assert "truncation.value" in result.output
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(out)])
+    assert code == 2
+    assert "truncation.value" in err
     assert not out.exists()
 
 
-def test_cli_numerical_error_exit_code(tmp_path):
+def test_cli_numerical_error_exit_code(tmp_path, capsys):
     # A flat-top filter far off the grid annihilates the JSA.
     scenario = {
         "name": "dead",
@@ -295,12 +326,12 @@ def test_cli_numerical_error_exit_code(tmp_path):
     }
     path = tmp_path / "dead.yaml"
     path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 3
-    assert "numerical error" in result.output
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical error" in err
 
 
-def test_truncation_warning_reaches_metrics_and_stderr(tmp_path):
+def test_truncation_warning_reaches_metrics_and_stderr(tmp_path, capsys):
     # Keeping a single Schmidt mode of the fig2a source discards ~16% of the
     # eigenvalue mass: the run still succeeds, but says so.
     scenario = {
@@ -310,29 +341,27 @@ def test_truncation_warning_reaches_metrics_and_stderr(tmp_path):
     }
     path = tmp_path / "rank1.yaml"
     path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
-    result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0
-    assert result.stderr.startswith("warning: Schmidt truncation discards")
-    assert len(result.stderr.splitlines()) == 1
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    assert err.startswith("warning: Schmidt truncation discards")
+    assert len(err.splitlines()) == 1
     metrics = json.loads((tmp_path / "rank1_metrics.json").read_text())
     assert metrics["schmidt_truncation_warning"] is True
     assert metrics["truncation_tail_mass"] > 0.05
 
-    result = CliRunner().invoke(main, ["run", "--preset", "fig2a", "--out", str(tmp_path)])
-    assert result.exit_code == 0
-    assert result.stderr == ""
+    code, _, err = invoke(capsys, ["run", "--preset", "fig2a", "--out", str(tmp_path)])
+    assert code == 0
+    assert err == ""
     metrics = json.loads((tmp_path / "fig2a_metrics.json").read_text())
     assert metrics["schmidt_truncation_warning"] is False
 
 
-def test_cli_io_error_exit_code(tmp_path):
+def test_cli_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("file in the way", encoding="utf-8")
-    result = CliRunner().invoke(
-        main, ["run", "--preset", "broadening-6m", "--out", str(blocker)]
-    )
-    assert result.exit_code == 4
-    assert "i/o error" in result.output
+    code, _, err = invoke(capsys, ["run", "--preset", "broadening-6m", "--out", str(blocker)])
+    assert code == 4
+    assert "i/o error" in err
 
 
 @pytest.mark.parametrize("package", ["scipy", "pydantic"])
@@ -347,6 +376,32 @@ def test_cli_import_does_not_load(package):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_closure():
+    # A cold `sim run` pays for every module `import homsim.cli` loads: only
+    # the stdlib, numpy, yaml and homsim itself, and not numpy.random (the
+    # Schmidt step's range finder imports it when it runs).
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys; before = set(sys.modules); import homsim.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = proc.stdout.split()
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "homsim"}
+    # Cython-built extensions (numpy's, libyaml's) register these two.
+    foreign = [
+        m
+        for m in loaded
+        if m.split(".")[0] not in allowed and not m.startswith(("_cython_", "cython_runtime"))
+    ]
+    assert foreign == []
+    assert "homsim.cli" in loaded
+    assert "numpy.random" not in loaded
 
 
 def test_jsi_writer_matches_per_cell_format(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import inner_product, reconstruct
 from homsim.errors import DegenerateStateError, InvalidArgumentError
 from homsim.hom import visibility_curve
 from homsim.schmidt import (
@@ -14,7 +15,6 @@ from homsim.schmidt import (
     herald,
     postulate_pure_state,
     purity,
-    reconstruct,
     schmidt_decompose,
     schmidt_number,
 )
@@ -26,7 +26,7 @@ from homsim.source import (
     apply_filters,
     build_jsa,
 )
-from homsim.spectral import FrequencyGrid, SpectralFunction, inner_product, make_grid
+from homsim.spectral import FrequencyGrid, SpectralFunction, make_grid
 
 
 def correlated_gaussian_jsa(mu: float, n: int = 512, span_sigmas: float = 8.0):

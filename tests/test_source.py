@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homsim import runner
+from helpers import marginal_intensity_fwhm
+from homsim import runner, source
 from homsim.constants import TWO_LN2
 from homsim.errors import DegenerateFilterError, InvalidArgumentError
 from homsim.scenario import load_preset
@@ -19,7 +20,6 @@ from homsim.source import (
     apply_filters,
     build_jsa,
     jsi,
-    marginal_intensity_fwhm,
 )
 from homsim.spectral import fwhm_wavelength_to_angular, make_grid
 
@@ -299,6 +299,42 @@ def test_jsa_keeps_the_kind_of_matrix_it_is_given(default_jsa, grid):
     lam_real = schmidt_decompose(real, rank=6).eigenvalues
     lam_cplx = schmidt_decompose(cplx, rank=6).eigenvalues
     assert np.allclose(lam_cplx, lam_real, rtol=0, atol=1e-12)
+
+
+def test_jsa_never_mutates_the_callers_array(grid, monkeypatch):
+    # The public constructor scales a copy: the caller's array keeps its
+    # values and stays writable, and the JSA's own matrix is read-only.
+    real = np.outer(gaussian_column(grid, 0.012), gaussian_column(grid, 0.02))
+    for raw in (real, real * (2.0 + 1.0j)):
+        before = raw.copy()
+        jsa = JointSpectralAmplitude(grid, grid, raw)
+        assert np.array_equal(raw, before) and raw.flags.writeable
+        assert not np.shares_memory(jsa.amplitudes, raw)
+        assert not jsa.amplitudes.flags.writeable
+        filtered = apply_filters(jsa, BandpassFilter(781.0, 6.0), None)
+        assert not np.shares_memory(filtered.amplitudes, jsa.amplitudes)
+        assert not filtered.amplitudes.flags.writeable
+
+    # build_jsa and apply_filters scale the matrix they made in place; the
+    # bits are those of the copying constructor.
+    f = BandpassFilter(781.0, 6.0)
+    phase = np.exp(1j * 50.0 * grid.detunings)[:, None]
+
+    def pipeline():
+        jsas = [
+            build_jsa(PumpSpectrum(), PhaseMatching(model=m), grid, grid)
+            for m in ("gaussian-approx", "sinc")
+        ]
+        jsas.append(JointSpectralAmplitude(grid, grid, jsas[0].amplitudes * phase))
+        return jsas + [apply_filters(j, f, f) for j in jsas]
+
+    in_place = pipeline()
+    monkeypatch.setattr(source, "_owning_jsa", JointSpectralAmplitude)
+    copied = pipeline()
+    for a, b in zip(in_place, copied):
+        assert not a.amplitudes.flags.writeable
+        assert a.amplitudes.dtype == b.amplitudes.dtype
+        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
 
 
 # --- closed-form Gaussian purity --------------------------------------------

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import inner_product
 from homsim.errors import IncompatibleGridError, InvalidArgumentError
 from homsim.spectral import (
     SpectralFunction,
     fwhm_wavelength_to_angular,
     gaussian_mode,
-    inner_product,
     make_grid,
 )
 
