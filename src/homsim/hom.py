@@ -13,20 +13,45 @@ network module's: a fiber puts exp(-i beta*L w^2/2) on its photon, so a
 single splitter with arm products b1, b2 gives the value here at
 delta_beta_l = b1 - b2.
 
-Every probability, one delay or a scan, comes from one overlap routine.  The
-grid w_k = w_0 + k*dw and the delays tau_t = tau_0 + t*dtau are uniform, so
-the overlaps O_nn'(tau_t) = sum_k a_nn'[k] e^{i w_k tau_t} of all delays form
-a chirp-z transform (Rabiner, Schafer & Rader, IEEE Trans. Audio
-Electroacoust. 17, 86 (1969)).  Bluestein's identity
+Every probability, one delay, a scan or a whole visibility curve, comes from
+one routine.  It first replaces the R1*R2 mode products by an orthogonal
+basis of the space they span.  Stack the weighted products as the rows
+c_nm[k] = sqrt(w1_n w2_m) phi1_n[k] conj(phi2_m[k]) of a matrix C and
+diagonalise its (R1 R2) x (R1 R2) Gram matrix, G = C C^H = U diag(lambda) U^H
+(``eigh``; an SVD of C costs ~10x more).  The rows v_j of U^H C satisfy, for
+any vector a and exactly,
+
+    sum_nm w1_n w2_m |sum_k phi1_n[k] conj(phi2_m[k]) a_k|^2 = sum_j |sum_k v_j[k] a_k|^2,
+
+with |v_j|^2 = lambda_j.  Only the rows with lambda_j > lambda_max * R1 R2 * eps
+are kept (numpy's ``matrix_rank`` rule on G; eps is the float64 machine
+epsilon).  Each dropped row moves P by at most lambda_j N dw^2 / 2
+(Cauchy-Schwarz with |a_k| = dw), so the whole truncation by at most
+(R1 R2)^2 eps lambda_max N dw^2 / 2: 2.4e-13 for fig2a's mixed state, whose
+lambda_max N dw^2 is 8.4, while the measured change is at the 1e-15
+rounding level.  J, the number of kept rows, is at most R1*R2 and usually
+much less: 1 for a pure state, at most R(R + 1)/2 for two copies of a state
+with real modes, and 2R - 1 for the presets' mixtures, whose modes are close
+to Hermite-Gauss functions (3 at R = 2, 7 at R = 4).  At R = 16 the spectrum
+of G falls below the rule after J = 18 rows.
+
+The grid w_k = w_0 + k*dw and the delays tau_t = tau_0 + t*dtau are uniform,
+so the overlaps sum_k v_j[k] a_k(tau_t), a_k(tau) = e^{i(-0.5*dBL*w_k^2 + w_k
+tau)} dw, of all delays form a chirp-z transform (Rabiner, Schafer & Rader,
+IEEE Trans. Audio Electroacoust. 17, 86 (1969)).  Bluestein's identity
 kt = (k^2 + t^2 - (t - k)^2)/2 (Bluestein, 1970) turns it into one FFT
-convolution per mode pair: multiply a_nn' by the chirp e^{i alpha k^2/2},
+convolution per basis row: multiply the row by the chirp e^{i alpha k^2/2},
 alpha = dw*dtau, convolve with e^{-i alpha j^2/2} through an FFT of a
 2-3-5-smooth length >= N + T - 1, and take |.|^2, which drops the output
 chirp.  The chirps are evaluated with their phases reduced exactly mod 2 pi,
-so large alpha*k^2 costs no accuracy.  The cost is O(R1 R2 (N + T) log(N + T))
-time and O(R1 R2 (N + T)) memory, where a direct sum over the T x N phase
-matrix costs O(T N (R1 + R1 R2)) and O(T N).  Results agree with that direct
-sum to rounding (~1e-15), not bit for bit.  Like the delay sum itself, the
+so large alpha*k^2 costs no accuracy.  The basis, the input chirp and the
+kernel's FFT depend on the states and the window only, so they are built once
+for every dBL that shares the window; each dBL then multiplies its own phase
+into the J rows.  A scan costs O(J (N + T) log(N + T)) time and O(J (N + T))
+memory, J <= R1 R2, plus O(R1^2 R2^2 N) once for the basis, where a direct
+sum over the T x N phase matrix costs O(T N (R1 + R1 R2)) and O(T N).
+Results agree with that direct sum, and with one chirp-z per mode pair, to
+rounding (~1e-15), not bit for bit.  Like the delay sum itself, the
 transform is periodic in the delay with the alias period 2*pi/dw of the
 frequency grid (12963 fs on the presets' grid): a scan window longer than
 that wraps around.
@@ -159,36 +184,58 @@ def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi * math.ldexp(1.0, -64) * wrapped.astype(float))
 
 
+def _product_basis(state1: HeraldedState, state2: HeraldedState) -> np.ndarray:
+    """The J x N rows v_j = (U^H C)_j that span the weighted mode products
+    c_nm, kept where lambda_j > lambda_max * R1 R2 * eps (module docstring)."""
+    m1 = np.sqrt(state1.weights)[:, None] * _mode_matrix(state1)
+    m2 = np.sqrt(state2.weights)[:, None] * _mode_matrix(state2).conj()
+    products = (m1[:, None, :] * m2).reshape(-1, m1.shape[1])
+    eigenvalues, vectors = np.linalg.eigh(products @ products.conj().T)
+    keep = eigenvalues > eigenvalues[-1] * len(eigenvalues) * np.finfo(float).eps
+    return vectors[:, keep].conj().T @ products
+
+
 def _probabilities(
     state1: HeraldedState,
     state2: HeraldedState,
-    delta_beta_l: float,
+    delta_beta_ls,
     tau0: float,
     dtau: float,
     n_taus: int,
 ) -> np.ndarray:
-    """P(tau0 + t*dtau) for t < n_taus, the overlaps as one chirp-z transform.
+    """P(tau0 + t*dtau) for t < n_taus, one row per entry of ``delta_beta_ls``.
 
     With w_k = w_0 + k*dw and alpha = dw*dtau, Bluestein's
     kt = (k^2 + t^2 - (t - k)^2)/2 gives
-    O_nm(tau_t) = e^{i(w_0 t dtau + alpha t^2/2)} sum_k b_nm[k] e^{-i alpha (t-k)^2/2},
-    b_nm[k] = phi1_n[k] conj(phi2_m[k]) e^{i(-dBL w_k^2/2 + w_k tau0 + alpha k^2/2)} dw:
-    one FFT convolution per mode pair.  The leading factor is a unit-modulus
-    phase shared by every mode pair, so |O_nm|^2 does not need it.
+    O(tau_t) = e^{i(w_0 t dtau + alpha t^2/2)} sum_k b[k] e^{-i alpha (t-k)^2/2},
+    b[k] = v_j[k] e^{i(-dBL w_k^2/2 + w_k tau0 + alpha k^2/2)} dw for each
+    basis row v_j of ``_product_basis``: one FFT convolution per row and
+    offset.  The leading factor is a unit-modulus phase shared by every row,
+    so |O|^2 does not need it.  The basis, the input chirp and the kernel's
+    FFT are built once; each offset only multiplies its dispersion phase into
+    the rows.
     """
     state1.grid.require_same(state2.grid)
     grid = state1.grid
     n = grid.n_points
     w = grid.detunings
     turns = grid.spacing * dtau / (4.0 * math.pi)  # alpha/2 in turns
-    chirp = _chirp(turns, np.arange(n))
-    chirp *= np.exp(-1j * 0.5 * delta_beta_l * w**2) * np.exp(1j * w * tau0) * grid.spacing
-    products = (_mode_matrix(state1) * chirp)[:, None, :] * _mode_matrix(state2).conj()
+    rows = _product_basis(state1, state2)
+    rows *= _chirp(turns, np.arange(n)) * np.exp(1j * w * tau0) * grid.spacing
     size = _smooth_length(n + n_taus - 1)
     kernel = np.fft.fft(_chirp(turns, np.arange(1 - n, n_taus)).conj(), size)  # every t - k
-    overlaps = np.fft.ifft(np.fft.fft(products, size) * kernel)[..., n - 1 : n - 1 + n_taus]
-    weighted = np.einsum("nmt,n,m->t", np.abs(overlaps) ** 2, state1.weights, state2.weights)
-    return 0.5 - 0.5 * weighted
+    half_w2 = -0.5 * w**2
+    probs = np.empty((len(delta_beta_ls), n_taus))
+    # One offset at a time, so the working set stays J x size whatever the
+    # number of offsets.
+    for out, delta_beta_l in zip(probs, delta_beta_ls):
+        spectra = np.fft.fft(rows * np.exp(1j * delta_beta_l * half_w2), size)
+        spectra *= kernel
+        overlaps = np.fft.ifft(spectra)[:, n - 1 : n - 1 + n_taus]
+        np.sum(overlaps.real**2 + overlaps.imag**2, axis=0, out=out)
+    probs *= -0.5
+    probs += 0.5
+    return probs
 
 
 def coincidence_probability(
@@ -198,7 +245,7 @@ def coincidence_probability(
     tau: float,
 ) -> float:
     """Coincidence probability at one delay: a one-sample scan."""
-    return float(_probabilities(state1, state2, delta_beta_l, tau, 0.0, 1)[0])
+    return float(_probabilities(state1, state2, [delta_beta_l], tau, 0.0, 1)[0, 0])
 
 
 def coincidence_probability_oracle(
@@ -236,18 +283,19 @@ def scan(
 ) -> InterferenceScan:
     """Coincidence probability at every delay of ``cfg``.
 
-    Both the frequency grid and the delays are uniform, so the Schmidt-mode
-    overlaps at all delays form a chirp-z transform, evaluated as one FFT
-    convolution per mode pair (see the module docstring).  Memory grows as
-    R1*R2*(N + T), not T*N.  The result agrees with a direct sum over the
-    T x N phase matrix to rounding (about 1e-15), not bit for bit.  Like the
-    delay sum itself, it is periodic in the delay with the alias period
+    The one-offset call of the routine behind every probability (see the
+    module docstring): the J <= R1*R2 rows of the mode-product basis, from
+    an ``eigh`` of the (R1 R2)^2 Gram matrix, each give one chirp-z transform
+    of O((N + T) log(N + T)).  Memory grows as J*(N + T), not T*N.  The
+    result agrees with a direct sum over the T x N phase matrix, and with one
+    chirp-z per mode pair, to rounding (about 1e-15), not bit for bit.  Like
+    the delay sum itself, it is periodic in the delay with the alias period
     2*pi/spacing of the frequency grid.
     """
     taus = cfg.taus()
     dtau = (cfg.tau_max - cfg.tau_min) / (cfg.n_steps - 1)
-    probs = _probabilities(state1, state2, delta_beta_l, cfg.tau_min, dtau, cfg.n_steps)
-    return InterferenceScan(taus=taus, probabilities=probs)
+    probs = _probabilities(state1, state2, [delta_beta_l], cfg.tau_min, dtau, cfg.n_steps)
+    return InterferenceScan(taus=taus, probabilities=probs[0])
 
 
 def _dip_residuals(taus, probs, p):
@@ -276,7 +324,6 @@ def _levenberg_marquardt(taus, probs, p, guess) -> tuple[np.ndarray, np.ndarray]
     when the start is close to the optimum, as ``_initial_guess`` is.
     """
     u, g, r = _dip_residuals(taus, probs, p)
-    cost = r @ r
     jac = np.empty((4, len(taus)))
     mu, nu = None, 2.0
     linearised = False
@@ -306,11 +353,18 @@ def _levenberg_marquardt(taus, probs, p, guess) -> tuple[np.ndarray, np.ndarray]
         if np.max(np.abs(step)) <= FIT_STEP_TOLERANCE:
             return p, r
         u_trial, g_trial, r_trial = _dip_residuals(taus, probs, trial)
-        cost_trial = r_trial @ r_trial
         predicted = -grad @ step - 0.5 * step @ gram @ step
-        gained = 0.5 * (cost - cost_trial)
+        # The gain (r - r_t).(r + r_t)/2 = -d_r.(r + d_r/2), with d_r = r_t - r
+        # taken from the step itself (g_t - g through expm1).  Subtracting the
+        # two rounded costs, or the two rounded residuals, loses a small gain
+        # to rounding and stalls the fit short of the optimum.
+        d_b, d_v, d_t0, d_w = trial - p
+        d_u = (d_t0 + u * d_w) / -trial[3]
+        d_g = g * np.expm1(-FOUR_LN2 * d_u * (2.0 * u + d_u))
+        d_r = d_b - trial[0] * trial[1] * d_g - (d_b * trial[1] + p[0] * d_v) * g
+        gained = -(d_r @ (r + 0.5 * d_r))
         if predicted > 0 and gained > 0:
-            p, r, cost, u, g = trial, r_trial, cost_trial, u_trial, g_trial
+            p, r, u, g = trial, r_trial, u_trial, g_trial
             linearised = False
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gained / predicted - 1.0) ** 3)
             nu = 2.0
@@ -404,22 +458,38 @@ def visibility_curve(
     delta_l_list,
     scan_config: ScanConfig | None = None,
 ) -> list[tuple[float, float, float]]:
-    """(delta_L, visibility, fwhm_ps) of the fitted dip per length offset.
+    """(delta_L, visibility, fwhm_ps) of the fitted dip per length offset, in
+    the order given.
 
     Both interfering photons are copies of ``state`` (the heralded mixture or
     the postulated pure state); photon 1 passes length_1 of fiber and photon
     2 passes length_1 - delta_L, so only beta*delta_L enters the
     interference.  Without ``scan_config`` each offset gets its default scan
-    window.
+    window.  The offsets that share a window are scanned in one call of the
+    rank-reduced chirp-z (see the module docstring): the mode-product basis,
+    the chirp and the kernel FFT are built once per window, so a curve costs
+    one basis of the state plus O(J (N + T) log(N + T)) per offset, J <= R^2.
+    Each dip is then fitted as ``fit_dip(scan(...))`` would fit it.
     """
-    results = []
-    for delta_l in delta_l_list:
+    offsets = [float(delta_l) for delta_l in delta_l_list]
+    for delta_l in offsets:
         if length_1 < delta_l:
             raise InvalidArgumentError(
                 f"delta_L {delta_l} mm exceeds the first fiber length {length_1} mm"
             )
-        delta_beta_l = beta * float(delta_l)
-        cfg = scan_config if scan_config is not None else default_scan_config(delta_beta_l)
-        metrics = fit_dip(scan(state, state, delta_beta_l, cfg))
-        results.append((float(delta_l), metrics.visibility, metrics.fwhm))
+    # Offsets grouped by window: (window, its offsets' indices) by its values.
+    windows: dict[tuple, tuple[ScanConfig, list[int]]] = {}
+    for i, delta_l in enumerate(offsets):
+        cfg = scan_config if scan_config is not None else default_scan_config(beta * delta_l)
+        windows.setdefault((cfg.tau_min, cfg.tau_max, cfg.n_steps), (cfg, []))[1].append(i)
+    results: list = [None] * len(offsets)
+    for cfg, indices in windows.values():
+        taus = cfg.taus()
+        dtau = (cfg.tau_max - cfg.tau_min) / (cfg.n_steps - 1)
+        curve = _probabilities(
+            state, state, [beta * offsets[i] for i in indices], cfg.tau_min, dtau, cfg.n_steps
+        )
+        for i, probs in zip(indices, curve):
+            metrics = fit_dip(InterferenceScan(taus=taus, probabilities=probs))
+            results[i] = (offsets[i], metrics.visibility, metrics.fwhm)
     return results

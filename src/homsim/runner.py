@@ -17,7 +17,6 @@ import yaml
 from . import __version__, io
 from .constants import GAUSSIAN_TIME_BANDWIDTH
 from .dispersion import broadened_duration
-from .errors import InvalidArgumentError
 from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
 from .network import (
     BeamSplitterNode,
@@ -231,10 +230,6 @@ def _run_visibility_curve(sc: Scenario, out: Path, base: str) -> list[str]:
     beta = sc.dispersion.beta_fs2_per_mm
     deltas = sc.dispersion.delta_lengths_mm
     length_1 = sc.dispersion.length_1_mm
-    if length_1 < max(deltas):
-        raise InvalidArgumentError(
-            "dispersion.length_1_mm must cover the largest delta length"
-        )
     explicit_cfg = None
     if sc.scan is not None:
         explicit_cfg = ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)

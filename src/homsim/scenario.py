@@ -17,8 +17,9 @@ reproduces a figure.  The loader is strict:
 - a field without a default is required;
 - after its fields, a section checks its cross-field rules (the dispersion
   forms of a network edge, an integral rank >= 1 for a rank truncation, a
-  delay scan naming one of the network's sources, the sections a mode
-  requires).
+  delay scan naming one of the network's sources, a scan window with
+  tau_min_fs < tau_max_fs, curve offsets no longer than length_1_mm, the
+  sections a mode requires).
 
 Every problem found is reported, in one ``ScenarioParseError`` whose message
 is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
@@ -116,6 +117,15 @@ class DispersionConfig:
     length_2_mm: float = _bounded(0.0, ge=0)
     delta_lengths_mm: list[float] | None = None
 
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        # Fiber 2 is length_1_mm - delta long, so no offset may exceed length_1_mm.
+        over = [d for d in self.delta_lengths_mm or () if not d <= self.length_1_mm]
+        if over:
+            return ("delta_lengths_mm",), (
+                f"every offset must be <= length_1_mm = {self.length_1_mm!r}, got {over}"
+            )
+        return None
+
 
 @_section
 class TruncationConfig:
@@ -139,6 +149,14 @@ class ScanSettings:
     tau_min_fs: float = -3000.0
     tau_max_fs: float = 3000.0
     n_steps: int = _bounded(241, ge=3)
+
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        if not self.tau_min_fs < self.tau_max_fs:
+            return (), (
+                f"tau_min_fs must be < tau_max_fs, got [{self.tau_min_fs!r}, "
+                f"{self.tau_max_fs!r}]"
+            )
+        return None
 
 
 @_section

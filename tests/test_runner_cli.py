@@ -12,7 +12,7 @@ import yaml
 import homsim
 from homsim.cli import main
 from homsim.runner import run
-from homsim.scenario import dump, load_preset, parse_scenario, scenario_from_dict
+from homsim.scenario import dump, list_presets, load_preset, parse_scenario, scenario_from_dict
 
 NETWORK_SIM = {
     "name": "cascade-sim",
@@ -79,20 +79,22 @@ def test_runs_are_deterministic(tmp_path):
         assert read(a / name) == read(b / name)
 
 
-def test_manifest_reproduces_outputs_byte_identically(tmp_path):
+@pytest.mark.parametrize("preset", list_presets())
+def test_manifest_reproduces_outputs_byte_identically(tmp_path, preset):
     first = tmp_path / "first"
-    run(load_preset("fig2a"), out_dir=first)
-    manifest = parse_scenario(first / "fig2a_manifest.yaml")
+    result = run(load_preset(preset), out_dir=first)
+    manifest_name = f"{preset}_manifest.yaml"
+    outputs = [name for name in result.files if name != manifest_name]
+    written = read(first / manifest_name)
+    manifest = parse_scenario(first / manifest_name)
     second = tmp_path / "second"
     run(manifest, out_dir=second)
-    for name in ("fig2a_scan.csv", "fig2a_metrics.json"):
+    for name in outputs:
         assert read(first / name) == read(second / name)
     # Without an override the manifest re-runs into its recorded directory
     # and reproduces itself too.
     run(manifest)
-    assert read(first / "fig2a_manifest.yaml") == read(
-        tmp_path / "first" / "fig2a_manifest.yaml"
-    )
+    assert read(first / manifest_name) == written
 
 
 def test_fig1c_emits_jsi_and_eigenvalues(tmp_path):
@@ -301,6 +303,37 @@ def test_cli_unknown_delay_scan_source_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "network.delay_scan.source" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+CURVE = {
+    "name": "curve",
+    "mode": "visibility-curve",
+    "dispersion": {"length_1_mm": 6000.0, "length_2_mm": 6000.0, "delta_lengths_mm": [0.0, 500.0]},
+    "scan": {"tau_min_fs": -6000.0, "tau_max_fs": 6000.0, "n_steps": 241},
+}
+
+
+@pytest.mark.parametrize(
+    "section,values,path",
+    [
+        ("scan", {"tau_min_fs": 100.0, "tau_max_fs": -100.0}, "scan"),
+        ("dispersion", {"length_1_mm": 400.0}, "dispersion.delta_lengths_mm"),
+    ],
+    ids=["inverted-scan-window", "offset-past-first-fiber"],
+)
+def test_cli_bad_curve_configuration_is_rejected_before_writing(
+    tmp_path, capsys, section, values, path
+):
+    scenario = copy.deepcopy(CURVE)
+    scenario[section].update(values)
+    scenario_path = tmp_path / "curve.yaml"
+    scenario_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, ["run", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert f"{scenario_path}: {path}: " in err
+    assert not out.exists()
 
 
 def test_cli_mass_above_one_is_config_error(tmp_path, capsys):

@@ -305,6 +305,18 @@ def test_mass_truncation_lies_in_the_unit_interval(value):
     assert scenario_from_dict(data).truncation.value == 1.0
 
 
+@pytest.mark.parametrize("tau_max", [-100.0, 100.0, float("nan")])
+def test_scan_window_must_be_ordered(tau_max):
+    rejects_at("scan", edited("scan", {"tau_min_fs": 100.0, "tau_max_fs": tau_max}))
+
+
+@pytest.mark.parametrize("offsets", [[0.0, 10.5], [12.0, 0.0], [float("nan")]])
+def test_curve_offsets_fit_in_the_first_fiber(offsets):
+    rejects_at("dispersion.delta_lengths_mm", edited("dispersion.delta_lengths_mm", offsets))
+    data = edited("dispersion.delta_lengths_mm", [-3.0, 10.0])  # length_1_mm is 10
+    assert scenario_from_dict(data).dispersion.delta_lengths_mm == [-3.0, 10.0]
+
+
 def test_delay_scan_names_a_network_source():
     rejects_at("network.delay_scan.source", edited("network.delay_scan.source", "nope"))
 
