@@ -30,6 +30,13 @@ linear in each photon's density matrix, so its probability is the weighted
 sum over the R^n tuples of Schmidt modes; one Gram matrix per detector over
 all (source, mode) vectors serves every tuple.  n!^2 limits the photon
 number to ``MAX_PHOTONS``.
+
+Every network has as many detectors as sources: :class:`NetworkSpec` wires
+each port exactly once, and an edge joins one output (a source or a splitter
+output) to one input (a detector or a splitter input), so
+sources + 2 splitters = detectors + 2 splitters.  The n-photon coincidence,
+one photon per detector, is therefore always the all-ones pattern
+``(1,) * n`` of :func:`outcome_probabilities`.
 """
 
 from __future__ import annotations
@@ -399,26 +406,3 @@ def outcome_probabilities(
         pattern = tuple(counts.count(i) for i in range(len(net.detectors)))
         probs[pattern] = float(value) / math.prod(math.factorial(m) for m in pattern)
     return probs
-
-
-def three_photon_coincidence(
-    net: NetworkSpec,
-    inputs: Sequence[SpectralFunction | HeraldedState],
-    delays=None,
-) -> float:
-    """Probability of one photon at each detector at the three outputs of the two-splitter cascade.
-
-    Requires three sources, two cascaded 2x2 beam splitters and three
-    detectors; inputs and delays are as for :func:`outcome_probabilities`.
-    """
-    if (
-        len(net.sources) != 3
-        or len(net.beam_splitters) != 2
-        or len(net.detectors) != 3
-    ):
-        raise UnsupportedNetworkError(
-            "three-photon simulation requires 3 sources, 2 beam splitters "
-            "and 3 detectors"
-        )
-    return outcome_probabilities(net, inputs, delays)[(1, 1, 1)]
-

@@ -27,7 +27,6 @@ from .network import (
     check_cancellation,
     detector_dispersion_spread,
     outcome_probabilities,
-    three_photon_coincidence,
 )
 from .scenario import NetworkConfig, Scenario, dump
 from .schmidt import (
@@ -104,10 +103,6 @@ def _filter(cfg) -> BandpassFilter | None:
     )
 
 
-def _truncation_kwargs(sc: Scenario) -> dict:
-    return {sc.truncation.kind: sc.truncation.value}
-
-
 def _heralded_state(sc: Scenario, jsa_decomp):
     if sc.purity_mode == "mixed":
         return herald(jsa_decomp)
@@ -178,14 +173,21 @@ def _filtered_jsa(sc: Scenario):
     return apply_filters(jsa, _filter(sc.filters.signal), _filter(sc.filters.idler))
 
 
-def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+def _decomposition(sc: Scenario, warnings: list[str]):
+    """The filtered JSA and its Schmidt decomposition under the scenario's
+    truncation; a truncation that discards too much mass adds a warning."""
     jsa = _filtered_jsa(sc)
-    decomp = schmidt_decompose(jsa, **_truncation_kwargs(sc))
+    decomp = schmidt_decompose(jsa, **{sc.truncation.kind: sc.truncation.value})
     if decomp.truncation_warning:
         warnings.append(
             f"Schmidt truncation discards {decomp.tail_mass:.3g} of the eigenvalue "
             f"mass (more than {TRUNCATION_WARNING_MASS:g})"
         )
+    return jsa, decomp
+
+
+def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+    jsa, decomp = _decomposition(sc, warnings)
     state = _heralded_state(sc, decomp)
     delta_beta_l = sc.dispersion.beta_fs2_per_mm * (
         sc.dispersion.length_1_mm - sc.dispersion.length_2_mm
@@ -226,14 +228,14 @@ def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]
     return files
 
 
-def _run_visibility_curve(sc: Scenario, out: Path, base: str) -> list[str]:
+def _run_visibility_curve(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
     beta = sc.dispersion.beta_fs2_per_mm
     deltas = sc.dispersion.delta_lengths_mm
     length_1 = sc.dispersion.length_1_mm
     explicit_cfg = None
     if sc.scan is not None:
         explicit_cfg = ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)
-    decomp = schmidt_decompose(_filtered_jsa(sc), **_truncation_kwargs(sc))
+    _, decomp = _decomposition(sc, warnings)
     mixed, pure = (
         visibility_curve(state, beta, length_1, deltas, explicit_cfg)
         for state in (herald(decomp), postulate_pure_state(decomp))
@@ -270,8 +272,9 @@ def _run_network_sim(sc: Scenario, out: Path, base: str, warnings: list[str]) ->
     )
     modes = [gaussian_mode(grid, width) for _ in net.sources]
     delays = [s.delay for s in net.sources]
-    p = three_photon_coincidence(net, modes, delays)
-    sum_error = sum(outcome_probabilities(net, modes, delays).values()) - 1.0
+    coincidence = (1,) * len(modes)  # one photon per detector; see homsim.network
+    probs = outcome_probabilities(net, modes, delays)
+    sum_error = sum(probs.values()) - 1.0
     if abs(sum_error) > PROBABILITY_SUM_TOLERANCE:
         warnings.append(
             f"network outcome probabilities sum to {1.0 + sum_error:.12g}, "
@@ -279,7 +282,7 @@ def _run_network_sim(sc: Scenario, out: Path, base: str, warnings: list[str]) ->
         )
     report = check_cancellation(net, tolerance=cfg.tolerance_fs2)
     payload = {
-        "coincidence_probability": p,
+        "coincidence_probability": probs[coincidence],
         "outcome_probability_sum_error": sum_error,
         "delays_fs": {s.id: s.delay for s in net.sources},
         "cancellation": report.to_json_dict(),
@@ -296,7 +299,7 @@ def _run_network_sim(sc: Scenario, out: Path, base: str, warnings: list[str]) ->
         for d in np.linspace(ds.min_fs, ds.max_fs, ds.n_steps):
             dd = list(delays)
             dd[idx] = float(d)
-            rows.append((float(d), three_photon_coincidence(net, modes, dd)))
+            rows.append((float(d), outcome_probabilities(net, modes, dd)[coincidence]))
         scan_name = f"{base}_delay_scan.csv"
         io.write_curve_csv(out / scan_name, ["delay_fs", "probability"], rows)
         files.append(scan_name)
@@ -346,7 +349,7 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     if resolved.mode == "two-photon-scan":
         files = _run_two_photon_scan(resolved, out, base, warnings)
     elif resolved.mode == "visibility-curve":
-        files = _run_visibility_curve(resolved, out, base)
+        files = _run_visibility_curve(resolved, out, base, warnings)
     elif resolved.mode == "network-check":
         files = _run_network_check(resolved, out, base)
     elif resolved.mode == "network-sim":

@@ -6,20 +6,21 @@ materializes every physics default, so that the run manifest alone
 reproduces a figure.  The loader is strict:
 
 - a key the schema does not name is rejected;
-- a float field takes an int or a float (an int is stored as a float, so
-  ``fwhm_nm: 10`` dumps as ``10.0``); an int field takes an int or an
-  integral float; booleans, strings and quoted numbers are not numbers;
+- a float field takes a finite int or float (an int is stored as a float,
+  so ``fwhm_nm: 10`` dumps as ``10.0``; NaN, the infinities and ints too
+  large for a float are rejected); an int field takes an int or an integral
+  float; booleans, strings and quoted numbers are not numbers;
 - a string field takes a string and a boolean field ``true``/``false``;
 - a choice field (``mode``, ``shape``, ``truncation.kind``, ...) takes one of
   its listed strings;
-- the ``gt``/``ge`` bounds in a field's metadata are checked, NaN failing
-  every bound;
+- the ``gt``/``ge`` bounds in a field's metadata are checked;
 - a field without a default is required;
 - after its fields, a section checks its cross-field rules (the dispersion
-  forms of a network edge, an integral rank >= 1 for a rank truncation, a
-  delay scan naming one of the network's sources, a scan window with
-  tau_min_fs < tau_max_fs, curve offsets no longer than length_1_mm, the
-  sections a mode requires).
+  forms of a network edge, a splitter unitary of 2 rows of 2 ``[re, im]``
+  pairs, an integral rank >= 1 for a rank truncation, a delay scan naming
+  one of the network's sources, a scan window with tau_min_fs < tau_max_fs,
+  curve offsets no longer than length_1_mm, the sections a mode requires,
+  2 to ``MAX_PHOTONS`` sources for ``network-sim``).
 
 Every problem found is reported, in one ``ScenarioParseError`` whose message
 is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
@@ -33,6 +34,7 @@ the run manifest.
 """
 
 import dataclasses
+import sys
 import typing
 from dataclasses import dataclass, field
 from importlib import resources
@@ -42,6 +44,7 @@ from typing import Literal
 import yaml
 
 from .errors import ScenarioNotFoundError, ScenarioParseError
+from .network import MAX_PHOTONS
 from .source import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 
 
@@ -175,6 +178,12 @@ class NetworkSplitterConfig:
     # Optional 2x2 unitary as [[ [re, im], [re, im] ], [ ... ]]; 50/50 if omitted.
     unitary: list[list[list[float]]] | None = None
 
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        u = self.unitary
+        if u is not None and [[len(c) for c in row] for row in u] != [[2, 2], [2, 2]]:
+            return ("unitary",), f"must be 2 rows of 2 [re, im] pairs, got {u!r}"
+        return None
+
 
 @_section
 class NetworkEdgeConfig:
@@ -289,6 +298,11 @@ class Scenario:
     def rule_violation(self) -> tuple[tuple, str] | None:
         if self.mode in ("network-check", "network-sim") and self.network is None:
             return (), f"mode {self.mode} requires a network section"
+        if self.mode == "network-sim" and not 2 <= len(self.network.sources) <= MAX_PHOTONS:
+            return ("network", "sources"), (
+                f"mode network-sim simulates 2 to {MAX_PHOTONS} photons, got "
+                f"{len(self.network.sources)} sources"
+            )
         if self.mode == "broadening" and self.broadening is None:
             return (), "mode broadening requires a broadening section"
         if self.mode == "visibility-curve" and not self.dispersion.delta_lengths_mm:
@@ -305,10 +319,12 @@ def _load(tp, value, path: tuple, errors: list[tuple]):
     if tp is float or tp is int:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if tp is float:
-                return float(value)
-            if isinstance(value, int) or value.is_integer():
+                # False for NaN, the infinities and ints too large for a float.
+                if abs(value) <= sys.float_info.max:
+                    return float(value)
+            elif isinstance(value, int) or value.is_integer():
                 return int(value)
-        kind = "a number" if tp is float else "an integer"
+        kind = "a finite number" if tp is float else "an integer"
         errors.append((path, f"must be {kind}, got {value!r}"))
         return value
     if tp is str or tp is bool:
@@ -339,7 +355,7 @@ def _load(tp, value, path: tuple, errors: list[tuple]):
 
 
 def _bound_violation(value, metadata) -> str | None:
-    if "gt" in metadata and not value > metadata["gt"]:  # NaN fails every bound
+    if "gt" in metadata and not value > metadata["gt"]:
         return f"must be > {metadata['gt']}, got {value!r}"
     if "ge" in metadata and not value >= metadata["ge"]:
         return f"must be >= {metadata['ge']}, got {value!r}"

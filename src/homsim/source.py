@@ -61,7 +61,6 @@ class PumpSpectrum:
 
     center_wavelength: float = 390.0
     pulse_duration_fwhm: float = 140.0
-    shape: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.pulse_duration_fwhm <= 0:
@@ -72,8 +71,6 @@ class PumpSpectrum:
             raise InvalidArgumentError(
                 f"center_wavelength must be > 0, got {self.center_wavelength}"
             )
-        if self.shape != "gaussian":
-            raise InvalidArgumentError(f"unsupported pump shape {self.shape!r}")
 
     @property
     def angular_fwhm(self) -> float:

@@ -21,7 +21,7 @@ from homsim.hom import (
     scan,
     visibility_curve,
 )
-from homsim.network import outcome_probabilities, three_photon_coincidence
+from homsim.network import outcome_probabilities
 from homsim.schmidt import (
     HeraldedState,
     herald,
@@ -223,12 +223,12 @@ def test_criterion_09_three_photon_dispersion_cancellation():
     worst_i = worst_ii = 0.0
     contrast = 0.0
     for delays in delay_grid:
-        base = three_photon_coincidence(cascade_network(0, 0, 0, 0), modes, delays)
-        p_i = three_photon_coincidence(cascade_network(X, X, X, 0.0), modes, delays)
-        p_ii = three_photon_coincidence(cascade_network(X, X, X + Y, Y), modes, delays)
-        p_bad = three_photon_coincidence(
+        base = outcome_probabilities(cascade_network(0, 0, 0, 0), modes, delays)[(1, 1, 1)]
+        p_i = outcome_probabilities(cascade_network(X, X, X, 0.0), modes, delays)[(1, 1, 1)]
+        p_ii = outcome_probabilities(cascade_network(X, X, X + Y, Y), modes, delays)[(1, 1, 1)]
+        p_bad = outcome_probabilities(
             cascade_network(0.0, 1e5, 0.0, 0.0), modes, delays
-        )
+        )[(1, 1, 1)]
         worst_i = max(worst_i, abs(p_i - base))
         worst_ii = max(worst_ii, abs(p_ii - base))
         contrast = max(contrast, abs(p_bad - base))

@@ -104,8 +104,7 @@ def pairwise_chirp_scan(state1, state2, delta_beta_l, cfg) -> np.ndarray:
 
 
 def preset_decomposition(name):
-    sc = load_preset(name)
-    return schmidt_decompose(runner._filtered_jsa(sc), **runner._truncation_kwargs(sc))
+    return runner._decomposition(load_preset(name), [])[1]
 
 
 def _pipeline_states(n_points, signal_fwhm_nm):
@@ -484,16 +483,15 @@ def test_fit_failure_carries_initial_guess(pipeline_state, monkeypatch):
 def _preset_scans(name):
     """Every scan the preset's run fits, built as the runner builds it."""
     sc = load_preset(name)
-    jsa = runner._filtered_jsa(sc)
+    _, decomp = runner._decomposition(sc, [])
     if sc.mode == "visibility-curve":
-        decomp = schmidt_decompose(jsa, **runner._truncation_kwargs(sc))
         beta = sc.dispersion.beta_fs2_per_mm
         return [
             scan(state, state, beta * dl, runner._scan_config(sc, beta * dl))
             for state in (herald(decomp), postulate_pure_state(decomp))
             for dl in sc.dispersion.delta_lengths_mm
         ]
-    state = runner._heralded_state(sc, schmidt_decompose(jsa, **runner._truncation_kwargs(sc)))
+    state = runner._heralded_state(sc, decomp)
     dbl = sc.dispersion.beta_fs2_per_mm * (sc.dispersion.length_1_mm - sc.dispersion.length_2_mm)
     return [scan(state, state, dbl, runner._scan_config(sc, dbl))]
 

@@ -20,7 +20,6 @@ from homsim.network import (
     check_cancellation,
     detector_dispersion_spread,
     outcome_probabilities,
-    three_photon_coincidence,
 )
 from homsim.schmidt import HeraldedState, herald, schmidt_decompose
 from homsim.source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
@@ -272,10 +271,10 @@ def test_disjoint_photons_give_classical_value(grid48):
         amp = np.zeros(n, dtype=complex)
         amp[4 + 12 * k] = 1.0
         modes.append(SpectralFunction(grid48, amp).normalized())
-    p_plain = three_photon_coincidence(cascade_network(0, 0, 0, 0), modes, (0.0, 0.0, 0.0))
-    p_disp = three_photon_coincidence(
+    p_plain = outcome_probabilities(cascade_network(0, 0, 0, 0), modes, (0.0, 0.0, 0.0))[(1, 1, 1)]
+    p_disp = outcome_probabilities(
         cascade_network(3e5, 1e4, 7e4, 2e5), modes, (0.0, 0.0, 0.0)
-    )
+    )[(1, 1, 1)]
     assert p_plain == pytest.approx(0.25, abs=1e-12)
     assert p_disp == pytest.approx(0.25, abs=1e-12)
 
@@ -283,13 +282,15 @@ def test_disjoint_photons_give_classical_value(grid48):
 def test_cancellation_conditions_leave_coincidences_unchanged(identical_modes):
     Y = 37.802 * 2000.0
     for delays in DELAY_GRID:
-        base = three_photon_coincidence(cascade_network(0, 0, 0, 0), identical_modes, delays)
-        cond_i = three_photon_coincidence(
+        base = outcome_probabilities(
+            cascade_network(0, 0, 0, 0), identical_modes, delays
+        )[(1, 1, 1)]
+        cond_i = outcome_probabilities(
             cascade_network(X, X, X, 0.0), identical_modes, delays
-        )
-        cond_ii = three_photon_coincidence(
+        )[(1, 1, 1)]
+        cond_ii = outcome_probabilities(
             cascade_network(X, X, X + Y, Y), identical_modes, delays
-        )
+        )[(1, 1, 1)]
         assert cond_i == pytest.approx(base, abs=1e-9)
         assert cond_ii == pytest.approx(base, abs=1e-9)
 
@@ -297,10 +298,12 @@ def test_cancellation_conditions_leave_coincidences_unchanged(identical_modes):
 def test_violated_condition_changes_coincidences(identical_modes):
     diffs = []
     for delays in DELAY_GRID:
-        base = three_photon_coincidence(cascade_network(0, 0, 0, 0), identical_modes, delays)
-        bad = three_photon_coincidence(
+        base = outcome_probabilities(
+            cascade_network(0, 0, 0, 0), identical_modes, delays
+        )[(1, 1, 1)]
+        bad = outcome_probabilities(
             cascade_network(0.0, 1e5, 0.0, 0.0), identical_modes, delays
-        )
+        )[(1, 1, 1)]
         diffs.append(abs(bad - base))
     assert max(diffs) > 1e-3
 
@@ -363,9 +366,7 @@ def test_off_centre_heralded_scan_matches_single_splitter():
     assert np.max(np.abs(result.probabilities - network)) < 1e-12
 
 
-def test_three_photon_requires_fig5_class(grid48, identical_modes):
-    with pytest.raises(UnsupportedNetworkError):
-        three_photon_coincidence(single_splitter(), identical_modes[:2])
+def test_engine_rejects_one_and_seven_photons(grid48, identical_modes):
     with pytest.raises(UnsupportedNetworkError):
         outcome_probabilities(
             NetworkSpec(
@@ -393,8 +394,10 @@ def test_three_photon_requires_fig5_class(grid48, identical_modes):
 def test_mixed_convex_combination_matches_pure_for_rank_one(grid48, identical_modes):
     states = [HeraldedState(np.array([1.0]), (m,)) for m in identical_modes]
     delays = (30.0, 0.0, -45.0)
-    p_mixed = three_photon_coincidence(cascade_network(X, X, X, 0.0), states, delays)
-    p_pure = three_photon_coincidence(cascade_network(X, X, X, 0.0), identical_modes, delays)
+    p_mixed = outcome_probabilities(cascade_network(X, X, X, 0.0), states, delays)[(1, 1, 1)]
+    p_pure = outcome_probabilities(
+        cascade_network(X, X, X, 0.0), identical_modes, delays
+    )[(1, 1, 1)]
     assert p_mixed == pytest.approx(p_pure, abs=1e-12)
 
 
@@ -499,13 +502,13 @@ def test_heralded_input_is_convex_combination_of_oracle_values():
             expected[pattern] = expected.get(pattern, 0.0) + weight * p
     engine = outcome_probabilities(net, states, delays)
     assert max(abs(engine[k] - expected[k]) for k in expected) <= 1e-15
-    assert three_photon_coincidence(net, states, delays) == engine[(1, 1, 1)]
+    assert outcome_probabilities(net, states, delays)[(1, 1, 1)] == engine[(1, 1, 1)]
 
 
 def test_delay_defaults_come_from_source_nodes(grid48, identical_modes):
     net = cascade_network(0, 0, 0, 0, delays=(40.0, 0.0, -60.0))
-    p_default = three_photon_coincidence(net, identical_modes)
-    p_explicit = three_photon_coincidence(net, identical_modes, (40.0, 0.0, -60.0))
+    p_default = outcome_probabilities(net, identical_modes)[(1, 1, 1)]
+    p_explicit = outcome_probabilities(net, identical_modes, (40.0, 0.0, -60.0))[(1, 1, 1)]
     assert p_default == p_explicit
 
 

@@ -10,9 +10,14 @@ import pytest
 import yaml
 
 import homsim
+import homsim.network
+import homsim.runner
 from homsim.cli import main
+from homsim.hom import coincidence_probability
 from homsim.runner import run
 from homsim.scenario import dump, list_presets, load_preset, parse_scenario, scenario_from_dict
+from homsim.schmidt import HeraldedState
+from homsim.spectral import fwhm_wavelength_to_angular, gaussian_mode, make_grid
 
 NETWORK_SIM = {
     "name": "cascade-sim",
@@ -150,6 +155,118 @@ def test_network_sim_run(tmp_path):
     scan_lines = (tmp_path / "cascade-sim_delay_scan.csv").read_text().splitlines()
     assert scan_lines[0] == "delay_fs,probability"
     assert len(scan_lines) == 6
+
+
+SPLITTER_SIM = {
+    "name": "splitter-sim",
+    "mode": "network-sim",
+    "network": {
+        "sources": [{"id": "a", "delay_fs": 60.0}, {"id": "b"}],
+        "beam_splitters": [{"id": "A"}],
+        "detectors": ["d1", "d2"],
+        "edges": [
+            {"start": "a", "end": "A.in0", "beta_l_fs2": 226812.0},
+            {"start": "b", "end": "A.in1", "beta_l_fs2": 216812.0},
+            {"start": "A.out0", "end": "d1"},
+            {"start": "A.out1", "end": "d2"},
+        ],
+        "delay_scan": {"source": "a", "min_fs": -300.0, "max_fs": 300.0, "n_steps": 7},
+    },
+}
+
+
+@pytest.mark.parametrize("n_points", [None, 48, 200])
+def test_two_photon_network_sim_is_the_hom_dip(tmp_path, capsys, n_points):
+    # The paper's two-photon case: one splitter, arms b1 and b2, photon a
+    # delayed by tau, is the two-photon dip at delta_beta_l = b1 - b2.
+    scenario = copy.deepcopy(SPLITTER_SIM)
+    if n_points is not None:
+        scenario["network"]["grid"] = {"n_points": n_points}
+    path = tmp_path / "splitter.yaml"
+    path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    code, _, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    payload = json.loads((tmp_path / "splitter-sim_sim.json").read_text())
+    grid = make_grid(780.0, 10.0, 4.0, payload["grid_points"])
+    mode = gaussian_mode(grid, fwhm_wavelength_to_angular(10.0, 780.0))
+    state = HeraldedState(np.array([1.0]), (mode,))
+
+    def dip(tau):
+        return coincidence_probability(state, state, 226812.0 - 216812.0, tau)
+
+    assert abs(payload["coincidence_probability"] - dip(60.0)) <= 1e-12
+    lines = (tmp_path / "splitter-sim_delay_scan.csv").read_text().splitlines()
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert [tau for tau, _ in rows] == list(np.linspace(-300.0, 300.0, 7))
+    assert max(abs(p - dip(tau)) for tau, p in rows) <= 1e-12
+    assert 0.1 < min(p for _, p in rows) < max(p for _, p in rows) - 0.1
+
+
+def test_network_sim_calls_the_engine_once_per_delay(tmp_path, monkeypatch):
+    calls = []
+    engine = homsim.network.outcome_probabilities
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(homsim.network, "outcome_probabilities", counted)
+    monkeypatch.setattr(homsim.runner, "outcome_probabilities", counted)
+    run(scenario_from_dict(copy.deepcopy(NETWORK_SIM)), out_dir=tmp_path)
+    assert len(calls) == 1 + NETWORK_SIM["network"]["delay_scan"]["n_steps"]
+
+
+def _wired_sources(n):
+    """A network of n sources wired straight to n detectors."""
+    return {
+        "sources": [{"id": f"s{k}"} for k in range(n)],
+        "beam_splitters": [],
+        "detectors": [f"d{k}" for k in range(n)],
+        "edges": [{"start": f"s{k}", "end": f"d{k}"} for k in range(n)],
+    }
+
+
+BAD_NETWORKS = {
+    "one-photon": (
+        {"name": "one", "mode": "network-sim", "network": _wired_sources(1)},
+        "network.sources",
+    ),
+    "seven-photons": (
+        {"name": "seven", "mode": "network-sim", "network": _wired_sources(7)},
+        "network.sources",
+    ),
+    # No comparison with NaN is true, so a NaN beta*L passes every
+    # cancellation check.
+    "nan-dispersion": (
+        {
+            "name": "nan",
+            "mode": "network-check",
+            "network": {
+                **copy.deepcopy(SPLITTER_SIM["network"]),
+                "edges": [
+                    {"start": "a", "end": "A.in0", "beta_l_fs2": float("nan")},
+                    {"start": "b", "end": "A.in1"},
+                    {"start": "A.out0", "end": "d1"},
+                    {"start": "A.out1", "end": "d2"},
+                ],
+                "grid": {"n_points": 48},
+            },
+        },
+        "network.edges.0.beta_l_fs2",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario,path", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
+def test_cli_bad_network_is_rejected_before_writing(tmp_path, capsys, scenario, path):
+    scenario_path = tmp_path / "net.yaml"
+    scenario_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, ["run", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert f"{scenario_path}: {path}: " in err
+    assert not out.exists()
 
 
 def cascade_scenario(name, arms_m, n_points=None):
@@ -345,6 +462,23 @@ def test_cli_mass_above_one_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "truncation.value" in err
     assert not out.exists()
+
+
+def test_curve_truncation_warning_matches_the_scan(tmp_path, capsys):
+    # A curve keeps the scenario's truncation, so it warns as a two-photon
+    # scan of the same source does; the run still succeeds.
+    curve = {**copy.deepcopy(CURVE), "truncation": {"kind": "rank", "value": 1}}
+    single = {**curve, "name": "single", "mode": "two-photon-scan"}
+    warnings = []
+    for scenario in (curve, single):
+        path = tmp_path / f"{scenario['name']}.yaml"
+        path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+        code, stdout, err = invoke(capsys, ["run", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        warnings.append(err)
+    assert warnings[0] == warnings[1]
+    assert warnings[0].startswith("warning: Schmidt truncation discards 0.367 ")
 
 
 def test_cli_numerical_error_exit_code(tmp_path, capsys):

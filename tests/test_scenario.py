@@ -305,16 +305,56 @@ def test_mass_truncation_lies_in_the_unit_interval(value):
     assert scenario_from_dict(data).truncation.value == 1.0
 
 
-@pytest.mark.parametrize("tau_max", [-100.0, 100.0, float("nan")])
+@pytest.mark.parametrize("tau_max", [-100.0, 100.0])
 def test_scan_window_must_be_ordered(tau_max):
     rejects_at("scan", edited("scan", {"tau_min_fs": 100.0, "tau_max_fs": tau_max}))
 
 
-@pytest.mark.parametrize("offsets", [[0.0, 10.5], [12.0, 0.0], [float("nan")]])
+@pytest.mark.parametrize("offsets", [[0.0, 10.5], [12.0, 0.0]])
 def test_curve_offsets_fit_in_the_first_fiber(offsets):
     rejects_at("dispersion.delta_lengths_mm", edited("dispersion.delta_lengths_mm", offsets))
     data = edited("dispersion.delta_lengths_mm", [-3.0, 10.0])  # length_1_mm is 10
     assert scenario_from_dict(data).dispersion.delta_lengths_mm == [-3.0, 10.0]
+
+
+NON_FINITE_CASES = [
+    ("scan.tau_max_fs", float("nan")),
+    ("dispersion.delta_lengths_mm.0", float("nan")),
+    ("dispersion.beta_fs2_per_mm", float("inf")),
+    ("source.phase_matching.gvm_signal_fs_per_mm", float("-inf")),
+    ("network.sources.1.delay_fs", float("nan")),
+    ("network.edges.0.beta_l_fs2", float("nan")),
+    ("network.edges.1.beta_fs2_per_mm", float("inf")),
+    ("network.edges.1.length_mm", float("inf")),
+    ("source.pump.center_wavelength_nm", float("inf")),
+    ("broadening.lengths_mm.0", float("-inf")),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [pytest.param(p, v, id=f"{p}={v}") for p, v in NON_FINITE_CASES]
+    + [pytest.param("broadening.lengths_mm.0", 10**400, id="broadening.lengths_mm.0=10**400")],
+)
+def test_non_finite_number_is_rejected(path, value):
+    rejects_at(path, edited(path, value))
+
+
+@pytest.mark.parametrize(
+    "unitary",
+    [
+        [[[1.0, 0.0], [0.0, 0.0]]],
+        [[[1.0, 0.0]], [[0.0, 0.0]]],
+        [[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[[1.0, 0.0, 9.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    ],
+    ids=["one-row", "rows-of-one", "short-entry", "long-entry"],
+)
+def test_splitter_unitary_is_two_rows_of_two_pairs(unitary):
+    path = "network.beam_splitters.0.unitary"
+    rejects_at(path, edited(path, unitary))
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert scenario_from_dict(edited(path, identity)).network.beam_splitters[0].unitary == identity
 
 
 def test_delay_scan_names_a_network_source():
