@@ -29,7 +29,13 @@ epsilon).  Each dropped row moves P by at most lambda_j N dw^2 / 2
 (Cauchy-Schwarz with |a_k| = dw), so the whole truncation by at most
 (R1 R2)^2 eps lambda_max N dw^2 / 2: 2.4e-13 for fig2a's mixed state, whose
 lambda_max N dw^2 is 8.4, while the measured change is at the 1e-15
-rounding level.  J, the number of kept rows, is at most R1*R2 and usually
+rounding level.  When R1 R2 > N the basis comes from the other side of the
+same identity: the N x N matrix C^H C = (M1^H M1) o (M2^H M2), an
+elementwise product, with M1 the rows sqrt(w1_n) phi1_n and M2 the rows
+sqrt(w2_m) conj(phi2_m), so C itself is never formed.  Its ``eigh``
+C^H C = W diag(lambda) W^H gives the rows v_j = sqrt(lambda_j) w_j^H, which
+satisfy the identity above as well, under the same rule with N in place of
+R1 R2.  J, the number of kept rows, is at most min(R1 R2, N) and usually
 much less: 1 for a pure state, at most R(R + 1)/2 for two copies of a state
 with real modes, and 2R - 1 for the presets' mixtures, whose modes are close
 to Hermite-Gauss functions (3 at R = 2, 7 at R = 4).  At R = 16 the spectrum
@@ -48,8 +54,9 @@ so large alpha*k^2 costs no accuracy.  The basis, the input chirp and the
 kernel's FFT depend on the states and the window only, so they are built once
 for every dBL that shares the window; each dBL then multiplies its own phase
 into the J rows.  A scan costs O(J (N + T) log(N + T)) time and O(J (N + T))
-memory, J <= R1 R2, plus O(R1^2 R2^2 N) once for the basis, where a direct
-sum over the T x N phase matrix costs O(T N (R1 + R1 R2)) and O(T N).
+memory, J <= min(R1 R2, N), plus O(min(R1 R2, N)^2 max(R1 R2, N)) once for
+the basis, where a direct sum over the T x N phase matrix costs
+O(T N (R1 + R1 R2)) and O(T N).
 Results agree with that direct sum, and with one chirp-z per mode pair, to
 rounding (~1e-15), not bit for bit.  Like the delay sum itself, the
 transform is periodic in the delay with the alias period 2*pi/dw of the
@@ -185,14 +192,24 @@ def _chirp(turns: float, m: np.ndarray) -> np.ndarray:
 
 
 def _product_basis(state1: HeraldedState, state2: HeraldedState) -> np.ndarray:
-    """The J x N rows v_j = (U^H C)_j that span the weighted mode products
-    c_nm, kept where lambda_j > lambda_max * R1 R2 * eps (module docstring)."""
+    """The J x N rows v_j that span the weighted mode products c_nm, kept
+    where lambda_j > lambda_max * size * eps, from the smaller side of the
+    Gram identity (module docstring): v_j = (U^H C)_j from the
+    (R1 R2) x (R1 R2) matrix C C^H when R1 R2 <= N, else
+    v_j = sqrt(lambda_j) w_j^H from the N x N matrix C^H C."""
     m1 = np.sqrt(state1.weights)[:, None] * _mode_matrix(state1)
     m2 = np.sqrt(state2.weights)[:, None] * _mode_matrix(state2).conj()
-    products = (m1[:, None, :] * m2).reshape(-1, m1.shape[1])
-    eigenvalues, vectors = np.linalg.eigh(products @ products.conj().T)
+    from_products = len(m1) * len(m2) <= m1.shape[1]
+    if from_products:
+        products = (m1[:, None, :] * m2).reshape(-1, m1.shape[1])
+        gram = products @ products.conj().T
+    else:
+        gram = (m1.conj().T @ m1) * (m2.conj().T @ m2)  # C^H C, without forming C
+    eigenvalues, vectors = np.linalg.eigh(gram)
     keep = eigenvalues > eigenvalues[-1] * len(eigenvalues) * np.finfo(float).eps
-    return vectors[:, keep].conj().T @ products
+    if from_products:
+        return vectors[:, keep].conj().T @ products
+    return np.sqrt(eigenvalues[keep])[:, None] * vectors[:, keep].conj().T
 
 
 def _probabilities(
@@ -284,8 +301,9 @@ def scan(
     """Coincidence probability at every delay of ``cfg``.
 
     The one-offset call of the routine behind every probability (see the
-    module docstring): the J <= R1*R2 rows of the mode-product basis, from
-    an ``eigh`` of the (R1 R2)^2 Gram matrix, each give one chirp-z transform
+    module docstring): the J <= min(R1 R2, N) rows of the mode-product
+    basis, from an ``eigh`` of the smaller of its (R1 R2)^2 and N^2 Gram
+    matrices, each give one chirp-z transform
     of O((N + T) log(N + T)).  Memory grows as J*(N + T), not T*N.  The
     result agrees with a direct sum over the T x N phase matrix, and with one
     chirp-z per mode pair, to rounding (about 1e-15), not bit for bit.  Like
@@ -468,8 +486,10 @@ def visibility_curve(
     window.  The offsets that share a window are scanned in one call of the
     rank-reduced chirp-z (see the module docstring): the mode-product basis,
     the chirp and the kernel FFT are built once per window, so a curve costs
-    one basis of the state plus O(J (N + T) log(N + T)) per offset, J <= R^2.
-    Each dip is then fitted as ``fit_dip(scan(...))`` would fit it.
+    one basis of the state plus O(J (N + T) log(N + T)) per offset,
+    J <= min(R^2, N): the basis comes from the R^2 x R^2 Gram matrix of the
+    mode products when R^2 <= N, else from the N x N one.  Each dip is then
+    fitted as ``fit_dip(scan(...))`` would fit it.
     """
     offsets = [float(delta_l) for delta_l in delta_l_list]
     for delta_l in offsets:

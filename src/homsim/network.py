@@ -8,7 +8,9 @@ observable exactly when, at each beam splitter, all arriving paths carry
 equal accumulated beta*L - the condition checked by
 :func:`check_cancellation`.  One walk over
 the graph (:func:`_walk`) gives both that bookkeeping and the transfer terms
-of the simulation.
+of the simulation.  :class:`NetworkSpec` runs it once, when it validates
+the wiring, and keeps both results; the walk also finds every cycle, so a
+spec that exists is a DAG, and no reader walks the graph again.
 
 Photon s reaches detector d with the port vector
 V_{d,s}(w) = t_{d,s}(w) phi_s(w) e^{i w tau_s}, where t_{d,s} sums the
@@ -145,10 +147,13 @@ class CancellationReport:
 
 
 class NetworkSpec:
-    """Validated interferometer wiring.
+    """Validated interferometer wiring and the one walk over its paths.
 
     Raises :class:`InvalidNetworkError` for cyclic graphs, dangling or
-    multiply-used ports, or unknown endpoint names.
+    multiply-used ports, or unknown endpoint names.  ``paths`` and ``terms``
+    hold the two results of :func:`_walk`: the accumulated beta*L of every
+    source -> beam-splitter path, and the (coefficient, beta*L) terms of
+    every source -> detector path.
     """
 
     def __init__(
@@ -165,6 +170,7 @@ class NetworkSpec:
         self._bs_by_id = {b.id: b for b in beam_splitters}
         self._edges_from: dict[str, NetworkEdge] = {}
         self._validate()
+        self.paths, self.terms = _walk(self)
 
     def _validate(self) -> None:
         ids = [n.id for n in self.sources + self.beam_splitters + self.detectors]
@@ -199,38 +205,24 @@ class NetworkSpec:
             if end not in ends_seen:
                 raise InvalidNetworkError(f"input {end!r} is not connected")
 
-        # Cycle check on the node-level graph.
-        succ: dict[str, set[str]] = {}
-        for e in self.edges:
-            a = e.start.split(".")[0]
-            b = e.end.split(".")[0]
-            succ.setdefault(a, set()).add(b)
-        state: dict[str, int] = {}
-
-        def visit(node: str) -> None:
-            state[node] = 1
-            for nxt in sorted(succ.get(node, ())):
-                if state.get(nxt) == 1:
-                    raise InvalidNetworkError(f"network contains a cycle through {nxt!r}")
-                if nxt not in state:
-                    visit(nxt)
-            state[node] = 2
-
-        for s in sorted({e.start.split(".")[0] for e in self.edges}):
-            if s not in state:
-                visit(s)
-
 
 def _walk(
     net: NetworkSpec,
 ) -> tuple[list[PathDispersion], dict[tuple[str, str], list[tuple[complex, float]]]]:
-    """The one depth-first walk over every source -> detector path.
+    """The one depth-first walk over every source -> detector path, run by
+    :class:`NetworkSpec` once its ports are wired.
 
     Returns the accumulated beta*L on arrival at each beam splitter, one
     :class:`PathDispersion` per distinct path in walk order, and per
     (detector, source) the (amplitude coefficient, beta*L) term of every path
     that ends at that detector.  The coefficient is the product of the
     unitary entries met on the way.
+
+    It also finds every cycle.  A splitter already on the current path
+    closes one.  A splitter that no path reaches lies on one too: with every
+    port wired once, the unreached splitters feed only each other, and in
+    a graph where each node has as many inputs as outputs every edge lies on
+    a cycle.
     """
     paths: list[PathDispersion] = []
     terms: dict[tuple[str, str], list[tuple[complex, float]]] = {}
@@ -245,6 +237,8 @@ def _walk(
         if bs is None:  # a detector ends the path
             terms.setdefault((node, source_id), []).append((coeff, acc))
             return
+        if node in via:
+            raise InvalidNetworkError(f"network contains a cycle through {node!r}")
         paths.append(PathDispersion(source_id, node, acc, via))
         in_idx = 0 if port == "in0" else 1
         for out_idx in (0, 1):
@@ -258,25 +252,18 @@ def _walk(
 
     for s in net.sources:
         visit(s.id, 1.0 + 0.0j, 0.0, (), s.id)
+    reached = {p.beam_splitter for p in paths}
+    for b in net.beam_splitters:
+        if b.id not in reached:
+            raise InvalidNetworkError(f"network contains a cycle through {b.id!r}")
     return paths, terms
-
-
-def accumulated_dispersion(net: NetworkSpec) -> list[PathDispersion]:
-    """Accumulated beta*L per source -> beam-splitter path.
-
-    Every beam splitter reachable from a source contributes one entry per
-    distinct path (multiple paths from the same source are listed
-    separately); the accumulation is the sum of beta*L over the edges up to
-    that beam splitter's input.
-    """
-    return _walk(net)[0]
 
 
 def detector_dispersion_spread(net: NetworkSpec) -> float:
     """Largest difference of accumulated beta*L (fs^2) between two
     source -> detector paths that end at the same detector."""
     by_detector: dict[str, list[float]] = {}
-    for (detector, _), path_terms in _walk(net)[1].items():
+    for (detector, _), path_terms in net.terms.items():
         by_detector.setdefault(detector, []).extend(beta_l for _, beta_l in path_terms)
     return max((max(b) - min(b) for b in by_detector.values()), default=0.0)
 
@@ -288,9 +275,8 @@ def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> Cancellatio
     photon paths arriving there carry the same accumulated beta*L (within
     ``tolerance``, in fs^2).
     """
-    paths = accumulated_dispersion(net)
     by_bs: dict[str, list[PathDispersion]] = {}
-    for p in paths:
+    for p in net.paths:
         by_bs.setdefault(p.beam_splitter, []).append(p)
     violations = [
         (a, b)
@@ -337,7 +323,6 @@ def _gram_matrices(
     order; shape (detectors, modes, modes)."""
     grid = states[0].grid
     w = grid.detunings
-    _, terms = _walk(net)
     shifts = [np.exp(1j * w * tau) for tau in delays]
     n_columns = sum(len(st.modes) for st in states)
     vectors = np.empty((len(net.detectors), n_columns, len(w)), dtype=complex)
@@ -345,7 +330,7 @@ def _gram_matrices(
         col = 0
         for s, st, shift in zip(net.sources, states, shifts):
             t = np.zeros(len(w), dtype=complex)
-            for coeff, beta_l in terms.get((d.id, s.id), ()):
+            for coeff, beta_l in net.terms.get((d.id, s.id), ()):
                 t = t + coeff * np.exp(-0.5j * beta_l * w**2)
             for m in st.modes:
                 vectors[i, col] = t * m.amplitudes * shift

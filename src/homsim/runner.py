@@ -133,7 +133,7 @@ def build_network(cfg: NetworkConfig) -> NetworkSpec:
     return NetworkSpec(sources, splitters, detectors, edges)
 
 
-def _network_grid_points(cfg: NetworkConfig) -> int:
+def _network_grid_points(cfg: NetworkConfig, net: NetworkSpec) -> int:
     """Default network grid size K (at least ``NETWORK_MIN_POINTS``).
 
     The grid's alias period 2*pi/dw must be twice the broadened wavepacket's
@@ -149,7 +149,7 @@ def _network_grid_points(cfg: NetworkConfig) -> int:
     if cfg.delay_scan is not None:
         delays += [cfg.delay_scan.min_fs, cfg.delay_scan.max_fs]
     extent = (
-        detector_dispersion_spread(build_network(cfg)) * width
+        detector_dispersion_spread(net) * width
         + (max(delays, default=0.0) - min(delays, default=0.0))
         + 2.0 * math.pi * GAUSSIAN_TIME_BANDWIDTH / width
     )
@@ -250,17 +250,17 @@ def _run_visibility_curve(sc: Scenario, out: Path, base: str, warnings: list[str
     return [name]
 
 
-def _run_network_check(sc: Scenario, out: Path, base: str) -> list[str]:
-    net = build_network(sc.network)
+def _run_network_check(sc: Scenario, net: NetworkSpec, out: Path, base: str) -> list[str]:
     report = check_cancellation(net, tolerance=sc.network.tolerance_fs2)
     name = f"{base}_report.json"
     io.write_json(out / name, report.to_json_dict())
     return [name]
 
 
-def _run_network_sim(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+def _run_network_sim(
+    sc: Scenario, net: NetworkSpec, out: Path, base: str, warnings: list[str]
+) -> list[str]:
     cfg = sc.network
-    net = build_network(cfg)
     grid = make_grid(
         cfg.grid.center_wavelength_nm,
         cfg.grid.reference_bandwidth_fwhm_nm,
@@ -336,9 +336,11 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
         directory=scenario.output.directory if out_dir is None else str(out_dir),
         basename=scenario.name if scenario.output.basename is None else scenario.output.basename,
     )
+    # One network per run, built (and so validated) before anything is written.
     network = scenario.network
+    net = None if network is None else build_network(network)
     if network is not None and network.grid.n_points is None:
-        grid = replace(network.grid, n_points=_network_grid_points(network))
+        grid = replace(network.grid, n_points=_network_grid_points(network, net))
         network = replace(network, grid=grid)
     resolved = replace(scenario, output=output, network=network)
     out = Path(resolved.output.directory)
@@ -351,9 +353,9 @@ def run(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     elif resolved.mode == "visibility-curve":
         files = _run_visibility_curve(resolved, out, base, warnings)
     elif resolved.mode == "network-check":
-        files = _run_network_check(resolved, out, base)
+        files = _run_network_check(resolved, net, out, base)
     elif resolved.mode == "network-sim":
-        files = _run_network_sim(resolved, out, base, warnings)
+        files = _run_network_sim(resolved, net, out, base, warnings)
     else:
         files = _run_broadening(resolved, out, base)
 

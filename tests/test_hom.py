@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,35 @@ def test_product_basis_rank(state_pairs):
         assert basis_rank(real, real) <= rank * (rank + 1) // 2  # phi_n phi_m = phi_m phi_n
         other = random_state(grid, rank + 1, rng)
         assert basis_rank(other, random_state(grid, rank, rng)) == (rank + 1) * rank
+
+
+@pytest.mark.parametrize("truncation", [{"rank": 12}, {"threshold": 0.0}])
+def test_product_basis_from_the_grid_side(truncation):
+    # With R1 R2 > N the basis comes from the N x N Gram matrix C^H C: at
+    # rank 12 (144 products) and at threshold 0 (all 64 modes, 4096 products)
+    # on a 64-point grid, the scans still match both oracles.
+    grid = make_grid(780.0, 10.0, 4.0, 64)
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
+    jsa = apply_filters(jsa, BandpassFilter(780.0, 4.0), BandpassFilter(780.0, 10.0))
+    mixed = herald(schmidt_decompose(jsa, **truncation))
+    other = random_state(grid, 8, np.random.default_rng(5))
+    # O(N^2) memory whatever R1 R2: the R1 R2 x N products alone would be
+    # 4096 x 64 complex numbers at threshold 0, and their Gram matrix 4096^2.
+    tracemalloc.start()
+    hom._product_basis(mixed, mixed)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 16 * grid.n_points**2 * np.dtype(complex).itemsize
+    cfg = ScanConfig(-3000.0, 3000.0, 241)
+    for state2 in (mixed, other):
+        assert len(mixed.weights) * len(state2.weights) > grid.n_points
+        assert basis_rank(mixed, state2) <= grid.n_points
+        for delta_beta_l in (0.0, 94505.0, 831644.0):
+            probs = scan(mixed, state2, delta_beta_l, cfg).probabilities
+            oracle = einsum_scan(mixed, state2, delta_beta_l, cfg)
+            assert np.max(np.abs(probs - oracle)) <= 1e-13
+            pairwise = pairwise_chirp_scan(mixed, state2, delta_beta_l, cfg)
+            assert np.max(np.abs(probs - pairwise)) <= 1e-13
 
 
 @pytest.mark.parametrize("n_steps", [3, 4, 11])

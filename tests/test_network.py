@@ -16,7 +16,6 @@ from homsim.network import (
     NetworkEdge,
     NetworkSpec,
     SourceNode,
-    accumulated_dispersion,
     check_cancellation,
     detector_dispersion_spread,
     outcome_probabilities,
@@ -148,9 +147,7 @@ def single_splitter(beta_l_1=0.0, beta_l_2=0.0):
 
 def test_fig5_path_bookkeeping():
     net = cascade_network(1.0, 2.0, 3.0, 10.0)
-    entries = {
-        (p.source, p.beam_splitter): p.beta_l for p in accumulated_dispersion(net)
-    }
+    entries = {(p.source, p.beam_splitter): p.beta_l for p in net.paths}
     assert entries == {
         ("s1", "A"): 1.0,
         ("s2", "A"): 2.0,
@@ -162,11 +159,11 @@ def test_fig5_path_bookkeeping():
 
 def test_no_dispersion_accumulates_zero():
     net = cascade_network(0.0, 0.0, 0.0, 0.0)
-    assert all(p.beta_l == 0.0 for p in accumulated_dispersion(net))
+    assert all(p.beta_l == 0.0 for p in net.paths)
 
 
 def test_single_splitter_has_two_entries():
-    paths = accumulated_dispersion(single_splitter(5.0, 7.0))
+    paths = single_splitter(5.0, 7.0).paths
     assert len(paths) == 2
     assert {p.source for p in paths} == {"a", "b"}
 
@@ -200,7 +197,7 @@ def test_satisfied_network_survives_common_rescaling():
 
 
 def test_cyclic_network_rejected():
-    with pytest.raises(InvalidNetworkError):
+    with pytest.raises(InvalidNetworkError, match="cycle through 'A'"):
         NetworkSpec(
             sources=[SourceNode("a"), SourceNode("b")],
             beam_splitters=[BeamSplitterNode("A"), BeamSplitterNode("B")],
@@ -212,6 +209,18 @@ def test_cyclic_network_rejected():
                 NetworkEdge("B.out0", "A.in1"),
                 NetworkEdge("A.out1", "d1"),
                 NetworkEdge("B.out1", "d2"),
+            ],
+        )
+    # A cycle that no source reaches: splitter A feeds only itself.
+    with pytest.raises(InvalidNetworkError, match="cycle through 'A'"):
+        NetworkSpec(
+            sources=[SourceNode("a")],
+            beam_splitters=[BeamSplitterNode("A")],
+            detectors=[DetectorNode("d1")],
+            edges=[
+                NetworkEdge("a", "d1"),
+                NetworkEdge("A.out0", "A.in0"),
+                NetworkEdge("A.out1", "A.in1"),
             ],
         )
 

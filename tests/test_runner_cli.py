@@ -216,6 +216,25 @@ def test_network_sim_calls_the_engine_once_per_delay(tmp_path, monkeypatch):
     assert len(calls) == 1 + NETWORK_SIM["network"]["delay_scan"]["n_steps"]
 
 
+@pytest.mark.parametrize("explicit_grid", [True, False])
+def test_network_sim_walks_the_graph_once(tmp_path, monkeypatch, explicit_grid):
+    # The spec walks its graph when it is built, and a run builds one spec:
+    # the grid rule, the engine calls and the cancellation audit share it.
+    walks = []
+    walk = homsim.network._walk
+
+    def counted(net):
+        walks.append(net)
+        return walk(net)
+
+    monkeypatch.setattr(homsim.network, "_walk", counted)
+    scenario = copy.deepcopy(NETWORK_SIM)
+    if not explicit_grid:
+        del scenario["network"]["grid"]  # the runner derives n_points
+    run(scenario_from_dict(scenario), out_dir=tmp_path)
+    assert len(walks) == 1
+
+
 def _wired_sources(n):
     """A network of n sources wired straight to n detectors."""
     return {
@@ -226,14 +245,29 @@ def _wired_sources(n):
     }
 
 
+def _splitter_check(unitary=None, wired=4):
+    """A network-check of the two-photon splitter at an explicit grid size,
+    with only its first ``wired`` edges."""
+    network = {**copy.deepcopy(SPLITTER_SIM["network"]), "grid": {"n_points": 48}}
+    del network["edges"][wired:]
+    if unitary is not None:
+        network["beam_splitters"] = [{"id": "A", "unitary": unitary}]
+    return {"name": "check", "mode": "network-check", "network": network}
+
+
+# 0.707 is a rounded 1/sqrt(2); the splitter is not unitary to 1e-12.
+ROUNDED_UNITARY = [[[0.707, 0.0], [0.707, 0.0]], [[0.707, 0.0], [-0.707, 0.0]]]
+
+# Each case: the scenario and what its stderr line must contain ({file} is the
+# scenario file).
 BAD_NETWORKS = {
     "one-photon": (
         {"name": "one", "mode": "network-sim", "network": _wired_sources(1)},
-        "network.sources",
+        "{file}: network.sources: ",
     ),
     "seven-photons": (
         {"name": "seven", "mode": "network-sim", "network": _wired_sources(7)},
-        "network.sources",
+        "{file}: network.sources: ",
     ),
     # No comparison with NaN is true, so a NaN beta*L passes every
     # cancellation check.
@@ -252,20 +286,37 @@ BAD_NETWORKS = {
                 "grid": {"n_points": 48},
             },
         },
-        "network.edges.0.beta_l_fs2",
+        "{file}: network.edges.0.beta_l_fs2: ",
+    ),
+    # The spec and the splitters are checked when the runner builds the
+    # network, which it does before it writes anything, whatever n_points is.
+    "dangling-port": (
+        _splitter_check(wired=3),
+        "configuration error: output 'A.out1' is not connected",
+    ),
+    "rounded-unitary": (
+        _splitter_check(unitary=ROUNDED_UNITARY),
+        "configuration error: beam splitter A: matrix is not unitary",
+    ),
+    "network-beside-broadening": (
+        {
+            **dump(load_preset("broadening-6m")),
+            "network": _splitter_check(unitary=ROUNDED_UNITARY)["network"],
+        },
+        "configuration error: beam splitter A: matrix is not unitary",
     ),
 }
 
 
-@pytest.mark.parametrize("scenario,path", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
-def test_cli_bad_network_is_rejected_before_writing(tmp_path, capsys, scenario, path):
+@pytest.mark.parametrize("scenario,message", BAD_NETWORKS.values(), ids=BAD_NETWORKS.keys())
+def test_cli_bad_network_is_rejected_before_writing(tmp_path, capsys, scenario, message):
     scenario_path = tmp_path / "net.yaml"
     scenario_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
     out = tmp_path / "out"
     code, stdout, err = invoke(capsys, ["run", str(scenario_path), "--out", str(out)])
     assert code == 2
     assert stdout == ""
-    assert f"{scenario_path}: {path}: " in err
+    assert message.format(file=scenario_path) in err
     assert not out.exists()
 
 
