@@ -13,8 +13,8 @@ network module's: a fiber puts exp(-i beta*L w^2/2) on its photon, so a
 single splitter with arm products b1, b2 gives the value here at
 delta_beta_l = b1 - b2.
 
-Every probability, one delay, a scan or a whole visibility curve, comes from
-one routine.  It first replaces the R1*R2 mode products by an orthogonal
+Every probability, of a scan or of a whole visibility curve, comes from one
+routine.  It first replaces the R1*R2 mode products by an orthogonal
 basis of the space they span.  Stack the weighted products as the rows
 c_nm[k] = sqrt(w1_n w2_m) phi1_n[k] conj(phi2_m[k]) of a matrix C and
 diagonalise its (R1 R2) x (R1 R2) Gram matrix, G = C C^H = U diag(lambda) U^H
@@ -76,7 +76,7 @@ import numpy as np
 
 from .constants import FOUR_LN2
 from .errors import FitFailureError, InvalidArgumentError, NoDipError
-from .schmidt import HeraldedState
+from .spectral import HeraldedState
 
 # Dip fit: iteration cap, and the largest scaled parameter step (B by |B|,
 # V by 1, t0 and w by w) at which the fit has converged.
@@ -159,10 +159,6 @@ class DipMetrics:
             raise InvalidArgumentError(f"fwhm must be > 0, got {self.fwhm}")
 
 
-def _mode_matrix(state: HeraldedState) -> np.ndarray:
-    return np.array([m.amplitudes for m in state.modes])
-
-
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
     best = 1 << (n - 1).bit_length()
@@ -197,8 +193,8 @@ def _product_basis(state1: HeraldedState, state2: HeraldedState) -> np.ndarray:
     Gram identity (module docstring): v_j = (U^H C)_j from the
     (R1 R2) x (R1 R2) matrix C C^H when R1 R2 <= N, else
     v_j = sqrt(lambda_j) w_j^H from the N x N matrix C^H C."""
-    m1 = np.sqrt(state1.weights)[:, None] * _mode_matrix(state1)
-    m2 = np.sqrt(state2.weights)[:, None] * _mode_matrix(state2).conj()
+    m1 = np.sqrt(state1.weights)[:, None] * state1.modes
+    m2 = np.sqrt(state2.weights)[:, None] * state2.modes.conj()
     from_products = len(m1) * len(m2) <= m1.shape[1]
     if from_products:
         products = (m1[:, None, :] * m2).reshape(-1, m1.shape[1])
@@ -255,16 +251,6 @@ def _probabilities(
     return probs
 
 
-def coincidence_probability(
-    state1: HeraldedState,
-    state2: HeraldedState,
-    delta_beta_l: float,
-    tau: float,
-) -> float:
-    """Coincidence probability at one delay: a one-sample scan."""
-    return float(_probabilities(state1, state2, [delta_beta_l], tau, 0.0, 1)[0, 0])
-
-
 def coincidence_probability_oracle(
     state1: HeraldedState,
     state2: HeraldedState,
@@ -282,8 +268,8 @@ def coincidence_probability_oracle(
     state1.grid.require_same(state2.grid)
     grid = state1.grid
     w = grid.detunings
-    m1 = _mode_matrix(state1)
-    m2 = _mode_matrix(state2)
+    m1 = state1.modes
+    m2 = state2.modes
     rho1 = (m1.T * state1.weights) @ m1.conj()
     rho2 = (m2.T * state2.weights) @ m2.conj()
     p = np.exp(1j * (w * tau - 0.5 * delta_beta_l * w**2))

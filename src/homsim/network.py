@@ -15,8 +15,10 @@ spec that exists is a DAG, and no reader walks the graph again.
 Photon s reaches detector d with the port vector
 V_{d,s}(w) = t_{d,s}(w) phi_s(w) e^{i w tau_s}, where t_{d,s} sums the
 products of unitary entries times e^{-i beta*L w^2 / 2} over the paths from
-s to d.  Put one photon on each detection row k, at detector p_k.  The
-probability of the count pattern m is the n-fold frequency integral of
+s to d; the walk adds up the coefficients of paths with equal beta*L, so
+t_{d,s} costs one exponential per distinct beta*L.  Put one photon on each
+detection row k, at detector p_k.  The probability of the count pattern m
+is the n-fold frequency integral of
 |sum_sigma prod_k V_{p_k, sigma(k)}(w_k)|^2 / prod_d m_d!.  Expanding the
 square factors it into one-dimensional integrals, the Gram matrices
 G_d = dw V_d^dagger V_d of each detector's port vectors:
@@ -27,11 +29,12 @@ G_d = dw V_d^dagger V_d of each detector's port vectors:
 same grid it equals the quadrature up to rounding, at a cost of
 n!^2 n per pattern plus D n^2 K for the Gram matrices (D detectors, K grid
 points), against n! K^n per pattern for the quadrature.  That quadrature is
-kept as the test oracle in ``tests/test_network.py``.  A heralded input is
-linear in each photon's density matrix, so its probability is the weighted
-sum over the R^n tuples of Schmidt modes; one Gram matrix per detector over
-all (source, mode) vectors serves every tuple.  n!^2 limits the photon
-number to ``MAX_PHOTONS``.
+kept as the test oracle in ``tests/test_network.py``.  Every input is a
+photon state, weights over the rows of a mode matrix, and a pure photon is
+the rank-1 case.  The probability is linear in each photon's density
+matrix, so it is the weighted sum over the R^n tuples of modes; one Gram
+matrix per detector over all (source, mode) vectors serves every tuple.
+n!^2 limits the photon number to ``MAX_PHOTONS``.
 
 Every network has as many detectors as sources: :class:`NetworkSpec` wires
 each port exactly once, and an edge joins one output (a source or a splitter
@@ -52,8 +55,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidNetworkError, UnsupportedNetworkError
-from .schmidt import HeraldedState
-from .spectral import SpectralFunction
+from .spectral import HeraldedState
 
 MAX_PHOTONS = 6  # 518400 permutation pairs per pattern at n = 6
 _PAIR_PRODUCTS_PER_STEP = 1 << 18  # bounds the memory of one numpy step
@@ -152,8 +154,8 @@ class NetworkSpec:
     Raises :class:`InvalidNetworkError` for cyclic graphs, dangling or
     multiply-used ports, or unknown endpoint names.  ``paths`` and ``terms``
     hold the two results of :func:`_walk`: the accumulated beta*L of every
-    source -> beam-splitter path, and the (coefficient, beta*L) terms of
-    every source -> detector path.
+    source -> beam-splitter path, and per (detector, source) the summed
+    amplitude coefficient of each distinct beta*L among its paths.
     """
 
     def __init__(
@@ -208,15 +210,17 @@ class NetworkSpec:
 
 def _walk(
     net: NetworkSpec,
-) -> tuple[list[PathDispersion], dict[tuple[str, str], list[tuple[complex, float]]]]:
+) -> tuple[list[PathDispersion], dict[tuple[str, str], dict[float, complex]]]:
     """The one depth-first walk over every source -> detector path, run by
     :class:`NetworkSpec` once its ports are wired.
 
     Returns the accumulated beta*L on arrival at each beam splitter, one
     :class:`PathDispersion` per distinct path in walk order, and per
-    (detector, source) the (amplitude coefficient, beta*L) term of every path
-    that ends at that detector.  The coefficient is the product of the
-    unitary entries met on the way.
+    (detector, source) a map from each beta*L of the paths that end at that
+    detector to their summed amplitude coefficient.  A path's coefficient is
+    the product of the unitary entries met on the way; paths of equal beta*L
+    share one transfer phase, so a ladder of k splitters, with its 2^k paths,
+    keeps one term per distinct beta*L.
 
     It also finds every cycle.  A splitter already on the current path
     closes one.  A splitter that no path reaches lies on one too: with every
@@ -225,7 +229,7 @@ def _walk(
     a cycle.
     """
     paths: list[PathDispersion] = []
-    terms: dict[tuple[str, str], list[tuple[complex, float]]] = {}
+    terms: dict[tuple[str, str], dict[float, complex]] = {}
 
     def visit(
         endpoint: str, coeff: complex, acc: float, via: tuple[str, ...], source_id: str
@@ -235,7 +239,8 @@ def _walk(
         node, _, port = edge.end.partition(".")
         bs = net._bs_by_id.get(node)
         if bs is None:  # a detector ends the path
-            terms.setdefault((node, source_id), []).append((coeff, acc))
+            merged = terms.setdefault((node, source_id), {})
+            merged[acc] = merged[acc] + coeff if acc in merged else coeff
             return
         if node in via:
             raise InvalidNetworkError(f"network contains a cycle through {node!r}")
@@ -263,8 +268,8 @@ def detector_dispersion_spread(net: NetworkSpec) -> float:
     """Largest difference of accumulated beta*L (fs^2) between two
     source -> detector paths that end at the same detector."""
     by_detector: dict[str, list[float]] = {}
-    for (detector, _), path_terms in net.terms.items():
-        by_detector.setdefault(detector, []).extend(beta_l for _, beta_l in path_terms)
+    for (detector, _), merged in net.terms.items():
+        by_detector.setdefault(detector, []).extend(merged)
     return max((max(b) - min(b) for b in by_detector.values()), default=0.0)
 
 
@@ -289,34 +294,27 @@ def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> Cancellatio
     )
 
 
-def _resolve_inputs(
-    net: NetworkSpec,
-    inputs: Sequence[SpectralFunction | HeraldedState],
-    delays,
-) -> tuple[list[HeraldedState], list[float]]:
-    """One state per source (a pure mode becomes a rank-1 state) and the
-    source delays, both in source order."""
+def _source_delays(
+    net: NetworkSpec, inputs: Sequence[HeraldedState], delays
+) -> list[float]:
+    """The source delays in source order, once the inputs are checked: one
+    state per source, all on one grid."""
     n = len(net.sources)
     if len(inputs) != n:
         raise InvalidArgumentError(
             f"expected {n} photon inputs for {n} sources, got {len(inputs)}"
         )
-    states = [
-        x if isinstance(x, HeraldedState) else HeraldedState(np.array([1.0]), (x,))
-        for x in inputs
-    ]
-    for st in states:
-        for m in st.modes:
-            states[0].grid.require_same(m.grid)
+    for st in inputs:
+        inputs[0].grid.require_same(st.grid)
     if delays is None:
-        return states, [s.delay for s in net.sources]
+        return [s.delay for s in net.sources]
     if len(delays) != n:
         raise InvalidArgumentError(f"expected {n} delays, got {len(delays)}")
-    return states, [float(t) for t in delays]
+    return [float(t) for t in delays]
 
 
 def _gram_matrices(
-    net: NetworkSpec, states: list[HeraldedState], delays: list[float]
+    net: NetworkSpec, states: Sequence[HeraldedState], delays: list[float]
 ) -> np.ndarray:
     """G[d] = dw V_d^dagger V_d over every (source, mode) port vector
     V_d(w) = t_{d,s}(w) phi(w) e^{i w tau_s}, columns in source-then-mode
@@ -330,23 +328,22 @@ def _gram_matrices(
         col = 0
         for s, st, shift in zip(net.sources, states, shifts):
             t = np.zeros(len(w), dtype=complex)
-            for coeff, beta_l in net.terms.get((d.id, s.id), ()):
+            for beta_l, coeff in net.terms.get((d.id, s.id), {}).items():
                 t = t + coeff * np.exp(-0.5j * beta_l * w**2)
-            for m in st.modes:
-                vectors[i, col] = t * m.amplitudes * shift
-                col += 1
+            vectors[i, col : col + len(st.modes)] = (t * st.modes) * shift
+            col += len(st.modes)
     return grid.spacing * (vectors.conj() @ vectors.transpose(0, 2, 1))
 
 
 def outcome_probabilities(
     net: NetworkSpec,
-    inputs: Sequence[SpectralFunction | HeraldedState],
+    inputs: Sequence[HeraldedState],
     delays=None,
 ) -> dict[tuple[int, ...], float]:
     """Probability of every photon-count pattern over the detector ports.
 
-    ``inputs`` holds one photon per source, in source order: a normalized
-    :class:`SpectralFunction` (pure) or a :class:`HeraldedState` of any rank.
+    ``inputs`` holds one :class:`HeraldedState` per source, in source order,
+    of any rank (a pure photon, such as a ``gaussian_mode``, has rank 1);
     ``delays`` likewise (source-node delays when omitted).  Patterns are
     tuples of counts in detector order; for a lossless network the
     probabilities sum to 1.  Networks of 2 to ``MAX_PHOTONS`` sources are
@@ -358,15 +355,14 @@ def outcome_probabilities(
             f"coincidence simulation supports 2 to {MAX_PHOTONS} photons, "
             f"network has {n} sources"
         )
-    states, delay_list = _resolve_inputs(net, inputs, delays)
-    gram = _gram_matrices(net, states, delay_list)
+    gram = _gram_matrices(net, inputs, _source_delays(net, inputs, delays))
 
     # Mode tuples (one Schmidt mode per source) as Gram columns, with weights.
-    offsets = np.cumsum([0] + [len(st.modes) for st in states[:-1]])
+    offsets = np.cumsum([0] + [len(st.modes) for st in inputs[:-1]])
     tuples = offsets + np.array(
-        list(itertools.product(*(range(len(st.modes)) for st in states)))
+        list(itertools.product(*(range(len(st.modes)) for st in inputs)))
     )
-    weights = reduce(np.multiply.outer, [st.weights for st in states]).ravel()
+    weights = reduce(np.multiply.outer, [st.weights for st in inputs]).ravel()
     perms = np.array(list(itertools.permutations(range(n))))
     # rows[t, a, k]: Gram column of the photon that permutation a puts on row k.
     rows = tuples[:, perms]

@@ -17,6 +17,7 @@ import yaml
 from . import __version__, io
 from .constants import GAUSSIAN_TIME_BANDWIDTH
 from .dispersion import broadened_duration
+from .errors import InvalidArgumentError, ScenarioParseError
 from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
 from .network import (
     BeamSplitterNode,
@@ -112,14 +113,15 @@ def _heralded_state(sc: Scenario, jsa_decomp):
 def build_network(cfg: NetworkConfig) -> NetworkSpec:
     sources = [SourceNode(s.id, s.delay_fs) for s in cfg.sources]
     splitters = []
-    for b in cfg.beam_splitters:
+    for i, b in enumerate(cfg.beam_splitters):
         if b.unitary is None:
             splitters.append(BeamSplitterNode(b.id))
-        else:
-            u = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in b.unitary]
-            )
+            continue
+        u = np.array([[complex(c[0], c[1]) for c in row] for row in b.unitary])
+        try:
             splitters.append(BeamSplitterNode(b.id, u))
+        except InvalidArgumentError as exc:
+            raise ScenarioParseError(f"network.beam_splitters.{i}.unitary: {exc}") from None
     detectors = [DetectorNode(d) for d in cfg.detectors]
     edges = []
     for e in cfg.edges:
@@ -270,10 +272,10 @@ def _run_network_sim(
     width = fwhm_wavelength_to_angular(
         cfg.photon_bandwidth_fwhm_nm, cfg.grid.center_wavelength_nm
     )
-    modes = [gaussian_mode(grid, width) for _ in net.sources]
+    photons = [gaussian_mode(grid, width) for _ in net.sources]
     delays = [s.delay for s in net.sources]
-    coincidence = (1,) * len(modes)  # one photon per detector; see homsim.network
-    probs = outcome_probabilities(net, modes, delays)
+    coincidence = (1,) * len(photons)  # one photon per detector; see homsim.network
+    probs = outcome_probabilities(net, photons, delays)
     sum_error = sum(probs.values()) - 1.0
     if abs(sum_error) > PROBABILITY_SUM_TOLERANCE:
         warnings.append(
@@ -299,7 +301,7 @@ def _run_network_sim(
         for d in np.linspace(ds.min_fs, ds.max_fs, ds.n_steps):
             dd = list(delays)
             dd[idx] = float(d)
-            rows.append((float(d), outcome_probabilities(net, modes, dd)[coincidence]))
+            rows.append((float(d), outcome_probabilities(net, photons, dd)[coincidence]))
         scan_name = f"{base}_delay_scan.csv"
         io.write_curve_csv(out / scan_name, ["delay_fs", "probability"], rows)
         files.append(scan_name)

@@ -15,12 +15,13 @@ reproduces a figure.  The loader is strict:
   its listed strings;
 - the ``gt``/``ge`` bounds in a field's metadata are checked;
 - a field without a default is required;
-- after its fields, a section checks its cross-field rules (the dispersion
-  forms of a network edge, a splitter unitary of 2 rows of 2 ``[re, im]``
-  pairs, an integral rank >= 1 for a rank truncation, a delay scan naming
-  one of the network's sources, a scan window with tau_min_fs < tau_max_fs,
-  curve offsets no longer than length_1_mm, the sections a mode requires,
-  2 to ``MAX_PHOTONS`` sources for ``network-sim``).
+- after its fields, a section checks its cross-field rules (differing
+  signal and idler GVM slopes, the dispersion forms of a network edge, a
+  splitter unitary of 2 rows of 2 ``[re, im]`` pairs, an integral rank >= 1
+  for a rank truncation, a threshold <= 1, a delay scan naming one of the
+  network's sources, a scan window with tau_min_fs < tau_max_fs, curve
+  offsets no longer than length_1_mm, the sections a mode requires, 2 to
+  ``MAX_PHOTONS`` sources for ``network-sim``).
 
 Every problem found is reported, in one ``ScenarioParseError`` whose message
 is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
@@ -74,6 +75,15 @@ class PhaseMatchingConfig:
     model: Literal["sinc", "gaussian-approx"] = "gaussian-approx"
     gvm_signal_fs_per_mm: float = DEFAULT_GVM_SIGNAL
     gvm_idler_fs_per_mm: float = DEFAULT_GVM_IDLER
+
+    def rule_violation(self) -> tuple[tuple, str] | None:
+        # Equal slopes leave no type-II asymmetry; source.PhaseMatching rejects them.
+        if self.gvm_signal_fs_per_mm == self.gvm_idler_fs_per_mm:
+            return (), (
+                f"gvm_signal_fs_per_mm and gvm_idler_fs_per_mm must differ, both are "
+                f"{self.gvm_signal_fs_per_mm!r}"
+            )
+        return None
 
 
 @_section
@@ -142,6 +152,9 @@ class TruncationConfig:
             return ("value",), f"a rank must be an integer >= 1, got {self.value!r}"
         if self.kind == "mass" and not 0.0 < self.value <= 1.0:
             return ("value",), f"a mass must be in (0, 1], got {self.value!r}"
+        # The eigenvalues sum to 1, so a threshold above 1 keeps no mode.
+        if self.kind == "threshold" and self.value > 1.0:
+            return ("value",), f"a threshold must be <= 1, got {self.value!r}"
         return None
 
 

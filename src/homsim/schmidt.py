@@ -46,13 +46,13 @@ eigenvalues are broken by the first moment of the signal-mode intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidArgumentError
 from .source import JointSpectralAmplitude
-from .spectral import SpectralFunction
+from .spectral import FrequencyGrid, HeraldedState
 
 # Keep eigenvalues until this cumulative mass by default, then renormalize.
 DEFAULT_MASS = 0.999
@@ -80,49 +80,39 @@ _PIVOT_RTOL = 1e-9
 class SchmidtDecomposition:
     """Truncated Schmidt spectrum with orthonormal signal/idler modes.
 
-    ``eigenvalues`` are renormalized to sum to 1 after truncation;
-    ``tail_mass`` records the discarded eigenvalue mass of the full spectrum
-    and ``truncation_warning`` flags a discarded mass above
-    ``TRUNCATION_WARNING_MASS`` (5%).
+    Row n of the read-only complex matrices ``signal_modes`` (R, N_s) and
+    ``idler_modes`` (R, N_i) is the mode pair of ``eigenvalues[n]``, sampled
+    on ``grid_signal`` and ``grid_idler``.  ``eigenvalues`` are renormalized
+    to sum to 1 after truncation; ``tail_mass`` records the discarded
+    eigenvalue mass of the full spectrum and ``truncation_warning`` flags a
+    discarded mass above ``TRUNCATION_WARNING_MASS`` (5%).
     """
 
     eigenvalues: np.ndarray
-    signal_modes: tuple[SpectralFunction, ...]
-    idler_modes: tuple[SpectralFunction, ...]
-    rank: int
+    signal_modes: np.ndarray
+    idler_modes: np.ndarray
+    grid_signal: FrequencyGrid
+    grid_idler: FrequencyGrid
     tail_mass: float = 0.0
-    truncation_warning: bool = field(default=False)
+    truncation_warning: bool = False
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=float)
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-        if self.rank != len(ev) or self.rank != len(self.signal_modes):
-            raise InvalidArgumentError("rank does not match the mode/eigenvalue count")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class HeraldedState:
-    """Spectrally mixed heralded photon: weights over signal mode functions."""
-
-    weights: np.ndarray
-    modes: tuple[SpectralFunction, ...]
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(self.modes) or len(w) == 0:
-            raise InvalidArgumentError("weights and modes must match and be non-empty")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise InvalidArgumentError(
-                f"weights must sum to 1, got {float(w.sum())!r}"
-            )
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "modes", tuple(self.modes))
+        for name, grid in (("signal_modes", self.grid_signal), ("idler_modes", self.grid_idler)):
+            modes = np.ascontiguousarray(getattr(self, name), dtype=complex)
+            if modes.shape != (len(ev), grid.n_points):
+                raise InvalidArgumentError(
+                    f"{name} shape {modes.shape} does not match {len(ev)} eigenvalues "
+                    f"on a grid of {grid.n_points} points"
+                )
+            modes.setflags(write=False)
+            object.__setattr__(self, name, modes)
 
     @property
-    def grid(self):
-        return self.modes[0].grid
+    def rank(self) -> int:
+        return len(self.eigenvalues)
 
 
 def schmidt_decompose(
@@ -175,21 +165,18 @@ def schmidt_decompose(
     eigenvalues = lam[:keep] / float(lam[:keep].sum())
     u, vh = fix_gauge(u[:, :keep], vh[:keep])
 
-    grid_s = jsa.grid_signal
-    grid_i = jsa.grid_idler
-    signal = [SpectralFunction(grid_s, u[:, n] / math.sqrt(ds)) for n in range(keep)]
-    idler = [SpectralFunction(grid_i, vh[n] / math.sqrt(di)) for n in range(keep)]
-
-    order = _tie_broken_order(eigenvalues, signal)
-    eigenvalues = eigenvalues[order]
-    signal = [signal[i] for i in order]
-    idler = [idler[i] for i in order]
+    # Divided while still real, then cast: the modes of a real JSA carry no
+    # rounding of a complex division.
+    signal = (u / math.sqrt(ds)).T.astype(complex)
+    idler = (vh / math.sqrt(di)).astype(complex)
+    order = _tie_broken_order(eigenvalues, signal, jsa.grid_signal)
 
     return SchmidtDecomposition(
-        eigenvalues=eigenvalues,
-        signal_modes=tuple(signal),
-        idler_modes=tuple(idler),
-        rank=keep,
+        eigenvalues=eigenvalues[order],
+        signal_modes=signal[order],
+        idler_modes=idler[order],
+        grid_signal=jsa.grid_signal,
+        grid_idler=jsa.grid_idler,
         tail_mass=tail,
         truncation_warning=tail > TRUNCATION_WARNING_MASS,
     )
@@ -263,14 +250,14 @@ def fix_gauge(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u * phase.conj(), vh * phase[:, None]
 
 
-def _tie_broken_order(eigenvalues: np.ndarray, modes: list[SpectralFunction]) -> list[int]:
+def _tie_broken_order(
+    eigenvalues: np.ndarray, modes: np.ndarray, grid: FrequencyGrid
+) -> list[int]:
     """Descending eigenvalue order; ties resolved by ascending first moment
-    of the mode intensity (deterministic under SVD degeneracy)."""
-
-    def first_moment(f: SpectralFunction) -> float:
-        w = np.abs(f.amplitudes) ** 2 * f.grid.spacing
-        return float(np.sum(f.grid.detunings * w))
-
+    of the mode intensity (the rows of ``modes``; deterministic under SVD
+    degeneracy)."""
+    intensity = np.abs(modes) ** 2 * grid.spacing
+    first_moment = [float(np.sum(grid.detunings * row)) for row in intensity]
     order = list(range(len(eigenvalues)))
     i = 0
     while i < len(order):
@@ -282,14 +269,14 @@ def _tie_broken_order(eigenvalues: np.ndarray, modes: list[SpectralFunction]) ->
         ):
             j += 1
         if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda k: first_moment(modes[k]))
+            order[i:j] = sorted(order[i:j], key=lambda k: first_moment[k])
         i = j
     return order
 
 
 def herald(decomp: SchmidtDecomposition) -> HeraldedState:
     """Trace out the idler: weights are the eigenvalues over the signal modes."""
-    return HeraldedState(weights=decomp.eigenvalues, modes=decomp.signal_modes)
+    return HeraldedState(decomp.eigenvalues, decomp.signal_modes, decomp.grid_signal)
 
 
 def purity(state: HeraldedState) -> float:
@@ -308,14 +295,14 @@ def postulate_pure_state(decomp: SchmidtDecomposition) -> HeraldedState:
     Produces the single-mode pure state with (approximately) the same
     spectrum as the heralded mixture; weights collapse to [1].
     """
-    grid = decomp.signal_modes[0].grid
-    summed = np.zeros(grid.n_points, dtype=complex)
-    for lam, phi in zip(decomp.eigenvalues, decomp.signal_modes):
-        summed += lam * phi.amplitudes
+    grid = decomp.grid_signal
+    # Summed from zero, one row after another in eigenvalue order: a
+    # reduction over axis 0 of a C-ordered matrix adds whole rows in sequence.
+    terms = decomp.eigenvalues[:, None] * decomp.signal_modes
+    summed = np.sum(terms, axis=0, initial=0.0)
     norm = math.sqrt(float(np.sum(np.abs(summed) ** 2)) * grid.spacing)
     if norm < 1e-12:
         raise DegenerateStateError(
             "eigenvalue-weighted mode sum cancels to zero norm"
         )
-    mode = SpectralFunction(grid, summed / norm)
-    return HeraldedState(weights=np.array([1.0]), modes=(mode,))
+    return HeraldedState(np.array([1.0]), (summed / norm)[None], grid)

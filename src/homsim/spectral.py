@@ -1,4 +1,4 @@
-"""Frequency grids and discretized complex spectral functions.
+"""Frequency grids and photon states sampled on them.
 
 Every spectral quantity in the simulator lives on a uniform grid of angular
 frequency *detunings* from a carrier: the carrier phase and any common group
@@ -72,7 +72,7 @@ class FrequencyGrid:
     def require_same(self, other: "FrequencyGrid") -> None:
         if not self.compatible_with(other):
             raise IncompatibleGridError(
-                "spectral functions live on different frequency grids"
+                "photon states live on different frequency grids"
             )
 
 
@@ -115,50 +115,52 @@ def make_grid(
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class SpectralFunction:
-    """A complex amplitude sampled on a :class:`FrequencyGrid`.
+class HeraldedState:
+    """A photon as a spectral mixture: ``weights`` over the rows of ``modes``.
 
-    The L2 norm convention includes the quadrature weight:
-    ``sum(|a_k|^2) * spacing == 1`` for a normalized function.
+    ``modes`` is a read-only complex (R, N) matrix, one mode function per
+    row, sampled on ``grid``; ``weights`` holds the R mixture weights and
+    sums to 1.  A pure photon has R = 1.  The L2 norm convention includes
+    the quadrature weight: ``sum(|modes[n]|^2) * grid.spacing == 1`` for a
+    normalized mode.
     """
 
+    weights: np.ndarray
+    modes: np.ndarray
     grid: FrequencyGrid
-    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n_points,):
+        w = np.asarray(self.weights, dtype=float)
+        modes = np.ascontiguousarray(self.modes, dtype=complex)
+        if len(w) == 0 or modes.shape != (len(w), self.grid.n_points):
             raise InvalidArgumentError(
-                f"amplitudes shape {amp.shape} does not match grid size "
-                f"{self.grid.n_points}"
+                f"modes shape {modes.shape} does not match {len(w)} weights on a "
+                f"grid of {self.grid.n_points} points"
             )
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.spacing
-        )
-
-    def normalized(self) -> "SpectralFunction":
-        n = self.norm
-        if n == 0.0:
-            raise InvalidArgumentError("cannot normalize a zero spectral function")
-        return SpectralFunction(self.grid, self.amplitudes / n)
+        if abs(float(w.sum()) - 1.0) > 1e-9:
+            raise InvalidArgumentError(
+                f"weights must sum to 1, got {float(w.sum())!r}"
+            )
+        w.setflags(write=False)
+        modes.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "modes", modes)
 
 
 def gaussian_mode(
     grid: FrequencyGrid,
     intensity_fwhm: float,
     center_detuning: float = 0.0,
-) -> SpectralFunction:
-    """Unit-norm Gaussian amplitude whose *intensity* FWHM is ``intensity_fwhm``
-    (rad/fs), centered at ``center_detuning`` on the grid."""
+) -> HeraldedState:
+    """Pure state of a unit-norm Gaussian amplitude whose *intensity* FWHM is
+    ``intensity_fwhm`` (rad/fs), centered at ``center_detuning`` on the grid."""
     if intensity_fwhm <= 0:
         raise InvalidArgumentError(
             f"intensity_fwhm must be > 0, got {intensity_fwhm}"
         )
     x = grid.detunings - center_detuning
-    amp = np.exp(-TWO_LN2 * (x / intensity_fwhm) ** 2)
-    return SpectralFunction(grid, amp.astype(complex)).normalized()
+    amp = np.exp(-TWO_LN2 * (x / intensity_fwhm) ** 2).astype(complex)
+    norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.spacing)
+    if norm == 0.0:
+        raise InvalidArgumentError("the Gaussian amplitude vanishes on the grid")
+    return HeraldedState(np.array([1.0]), (amp / norm)[None], grid)

@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from homsim import hom
 from homsim.errors import InvalidArgumentError
 from homsim.network import BeamSplitterNode, DetectorNode, NetworkEdge, NetworkSpec, SourceNode
 from homsim.schmidt import SchmidtDecomposition
 from homsim.source import JointSpectralAmplitude, jsi
-from homsim.spectral import SpectralFunction
+from homsim.spectral import FrequencyGrid, HeraldedState
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,28 @@ def gvd_phase(detuning, beta_l: float):
     return 0.5 * beta_l * np.square(detuning)
 
 
-def inner_product(f: SpectralFunction, g: SpectralFunction) -> complex:
-    """Discretized overlap integral <f|g> = sum conj(f_k) g_k * spacing.
+def pure_state(grid: FrequencyGrid, amplitudes) -> HeraldedState:
+    """The rank-1 state of ``amplitudes`` normalized to unit L2 norm."""
+    amp = np.asarray(amplitudes, dtype=complex)
+    norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.spacing)
+    return HeraldedState(np.array([1.0]), (amp / norm)[None], grid)
+
+
+def inner_products(f: HeraldedState, g: HeraldedState) -> np.ndarray:
+    """Discretized overlap integrals <f_n|g_m> = sum conj(f_n[k]) g_m[k] * spacing
+    of every mode pair, as an (R_f, R_g) matrix.
 
     Conjugate-linear in the first argument.
     """
     f.grid.require_same(g.grid)
-    return complex(np.vdot(f.amplitudes, g.amplitudes) * f.grid.spacing)
+    return f.modes.conj() @ g.modes.T * f.grid.spacing
+
+
+def coincidence_probability(
+    state1: HeraldedState, state2: HeraldedState, delta_beta_l: float, tau: float
+) -> float:
+    """Coincidence probability at one delay: a one-sample scan."""
+    return float(hom._probabilities(state1, state2, [delta_beta_l], tau, 0.0, 1)[0, 0])
 
 
 def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
@@ -51,17 +67,10 @@ def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
     The Frobenius distance to the original weighted matrix is bounded by
     sqrt(tail_mass).
     """
-    ds = decomp.signal_modes[0].grid.spacing
-    di = decomp.idler_modes[0].grid.spacing
     scale = 1.0 - decomp.tail_mass  # undo the post-truncation renormalization
-    out = np.zeros(
-        (decomp.signal_modes[0].grid.n_points, decomp.idler_modes[0].grid.n_points),
-        dtype=complex,
-    )
-    for lam, phi, psi in zip(decomp.eigenvalues, decomp.signal_modes, decomp.idler_modes):
-        coeff = math.sqrt(lam * scale * ds * di)
-        out += coeff * np.outer(phi.amplitudes, psi.amplitudes)
-    return out
+    cell = decomp.grid_signal.spacing * decomp.grid_idler.spacing
+    coeff = np.sqrt(decomp.eigenvalues * scale * cell)
+    return (decomp.signal_modes.T * coeff) @ decomp.idler_modes
 
 
 def marginal_intensity_fwhm(jsa: JointSpectralAmplitude, axis: str = "signal") -> float:

@@ -10,11 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import DispersiveElement, cascade_network, gvd_phase
+from helpers import (
+    DispersiveElement,
+    cascade_network,
+    coincidence_probability,
+    gvd_phase,
+    pure_state,
+)
 from homsim.dispersion import broadened_duration
 from homsim.hom import (
     ScanConfig,
-    coincidence_probability,
     coincidence_probability_oracle,
     default_scan_config,
     fit_dip,
@@ -37,7 +42,7 @@ from homsim.source import (
     apply_filters,
     build_jsa,
 )
-from homsim.spectral import FrequencyGrid, SpectralFunction, gaussian_mode, make_grid
+from homsim.spectral import FrequencyGrid, gaussian_mode, make_grid
 
 BETA = 37.802  # fs^2/mm, fused silica at 780 nm
 
@@ -50,8 +55,7 @@ def dispersed(state, beta_l):
     """``state`` with each mode multiplied by exp(-i beta*L w^2/2): the fiber's
     phase carried by the photon itself, an oracle for hom's delta_beta_l."""
     phase = np.exp(-1j * gvd_phase(state.grid.detunings, beta_l))
-    modes = tuple(SpectralFunction(state.grid, m.amplitudes * phase) for m in state.modes)
-    return HeraldedState(state.weights, modes)
+    return HeraldedState(state.weights, state.modes * phase, state.grid)
 
 
 def ten_nm_state():
@@ -168,12 +172,8 @@ def test_criterion_07_oracle_equivalence():
             size=(grid.n_points, rank)
         )
         q, _ = np.linalg.qr(raw * envelope[:, None])
-        modes = tuple(
-            SpectralFunction(grid, q[:, k] / math.sqrt(grid.spacing))
-            for k in range(rank)
-        )
         w = rng.uniform(0.2, 1.0, size=rank)
-        return HeraldedState(weights=w / w.sum(), modes=modes)
+        return HeraldedState(w / w.sum(), q.T / math.sqrt(grid.spacing), grid)
 
     worst = 0.0
     for _ in range(100):
@@ -210,7 +210,7 @@ def test_criterion_09_three_photon_dispersion_cancellation():
     start = time.perf_counter()
     grid = make_grid(780.0, 10.0, 4.0, 48)
     width = 0.0309607
-    modes = [gaussian_mode(grid, width) for _ in range(3)]
+    photons = [gaussian_mode(grid, width) for _ in range(3)]
     delay_grid = [
         (-150.0, 0.0, -75.0),
         (-75.0, 0.0, 30.0),
@@ -223,11 +223,11 @@ def test_criterion_09_three_photon_dispersion_cancellation():
     worst_i = worst_ii = 0.0
     contrast = 0.0
     for delays in delay_grid:
-        base = outcome_probabilities(cascade_network(0, 0, 0, 0), modes, delays)[(1, 1, 1)]
-        p_i = outcome_probabilities(cascade_network(X, X, X, 0.0), modes, delays)[(1, 1, 1)]
-        p_ii = outcome_probabilities(cascade_network(X, X, X + Y, Y), modes, delays)[(1, 1, 1)]
+        base = outcome_probabilities(cascade_network(0, 0, 0, 0), photons, delays)[(1, 1, 1)]
+        p_i = outcome_probabilities(cascade_network(X, X, X, 0.0), photons, delays)[(1, 1, 1)]
+        p_ii = outcome_probabilities(cascade_network(X, X, X + Y, Y), photons, delays)[(1, 1, 1)]
         p_bad = outcome_probabilities(
-            cascade_network(0.0, 1e5, 0.0, 0.0), modes, delays
+            cascade_network(0.0, 1e5, 0.0, 0.0), photons, delays
         )[(1, 1, 1)]
         worst_i = max(worst_i, abs(p_i - base))
         worst_ii = max(worst_ii, abs(p_ii - base))
@@ -256,8 +256,8 @@ def test_criterion_10_network_reduces_to_two_photon_result():
         amps = rng.normal(size=(2, grid.n_points)) + 1j * rng.normal(
             size=(2, grid.n_points)
         )
-        m1 = SpectralFunction(grid, amps[0] * envelope).normalized()
-        m2 = SpectralFunction(grid, amps[1] * envelope).normalized()
+        s1 = pure_state(grid, amps[0] * envelope)
+        s2 = pure_state(grid, amps[1] * envelope)
         b1, b2 = rng.uniform(0.0, 2e5, size=2)
         tau = float(rng.uniform(-400.0, 400.0))
         net = NetworkSpec(
@@ -271,9 +271,7 @@ def test_criterion_10_network_reduces_to_two_photon_result():
                 NetworkEdge("BS.out1", "d2"),
             ],
         )
-        p_net = outcome_probabilities(net, [m1, m2], (tau, 0.0))[(1, 1)]
-        s1 = HeraldedState(np.array([1.0]), (m1,))
-        s2 = HeraldedState(np.array([1.0]), (m2,))
+        p_net = outcome_probabilities(net, [s1, s2], (tau, 0.0))[(1, 1)]
         # Both put exp(-i beta*L w^2/2) on each photon, hence b1 - b2.
         p_hom = coincidence_probability(s1, s2, b1 - b2, tau)
         worst = max(worst, abs(p_net - p_hom))

@@ -78,7 +78,7 @@ def test_dispersion_preserves_weights_norm_and_purity(state):
     n_steps = grid.n_points + 1
     dtau = 2.0 * math.pi / (n_steps * grid.spacing)
     cfg = ScanConfig(-0.5 * n_steps * dtau, (0.5 * n_steps - 1) * dtau, n_steps)
-    diagonal = sum(w * np.abs(m.amplitudes) ** 2 for w, m in zip(state.weights, state.modes))
+    diagonal = state.weights @ np.abs(state.modes) ** 2
     expected = math.pi * np.sum(diagonal**2) * grid.spacing
     for beta_l in (0.0, DispersiveElement(BETA_FUSED_SILICA, 28000.0).beta_l):
         probs = scan(state, state, beta_l, cfg).probabilities

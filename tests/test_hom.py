@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DispersiveElement, gvd_phase
+from helpers import DispersiveElement, coincidence_probability, gvd_phase, pure_state
 from homsim import hom, runner
 from homsim.constants import FOUR_LN2
 from homsim.errors import (
@@ -19,7 +19,6 @@ from homsim.hom import (
     DipMetrics,
     InterferenceScan,
     ScanConfig,
-    coincidence_probability,
     coincidence_probability_oracle,
     default_scan_config,
     fit_dip,
@@ -41,7 +40,7 @@ from homsim.source import (
     apply_filters,
     build_jsa,
 )
-from homsim.spectral import SpectralFunction, gaussian_mode, make_grid
+from homsim.spectral import gaussian_mode, make_grid
 
 BETA = 37.802  # fs^2/mm
 
@@ -50,12 +49,7 @@ def dispersed(state, beta_l):
     """``state`` with each mode multiplied by exp(-i beta*L w^2/2): the fiber's
     phase carried by the photon itself, an oracle for the explicit delta_beta_l."""
     phase = np.exp(-1j * gvd_phase(state.grid.detunings, beta_l))
-    modes = tuple(SpectralFunction(state.grid, m.amplitudes * phase) for m in state.modes)
-    return HeraldedState(state.weights, modes)
-
-
-def pure_state(mode) -> HeraldedState:
-    return HeraldedState(weights=np.array([1.0]), modes=(mode,))
+    return HeraldedState(state.weights, state.modes * phase, state.grid)
 
 
 def random_state(grid, rank, rng, envelope=0.35, real=False) -> HeraldedState:
@@ -65,19 +59,16 @@ def random_state(grid, rank, rng, envelope=0.35, real=False) -> HeraldedState:
         raw = raw + 1j * rng.normal(size=(grid.n_points, rank))
     raw *= np.exp(-((grid.detunings[:, None] / (envelope * grid.detunings[-1])) ** 2))
     q, _ = np.linalg.qr(raw)
-    modes = tuple(
-        SpectralFunction(grid, q[:, k] / math.sqrt(grid.spacing)) for k in range(rank)
-    )
     w = rng.uniform(0.2, 1.0, size=rank)
-    return HeraldedState(weights=w / w.sum(), modes=modes)
+    return HeraldedState(w / w.sum(), q.T / math.sqrt(grid.spacing), grid)
 
 
 def einsum_scan(state1, state2, delta_beta_l, cfg) -> np.ndarray:
     """Oracle: the direct sum over the T x N phase matrix, all delays at once."""
     grid = state1.grid
     w = grid.detunings
-    m1 = hom._mode_matrix(state1)
-    m2c = hom._mode_matrix(state2).conj()
+    m1 = state1.modes
+    m2c = state2.modes.conj()
     static = np.exp(-1j * 0.5 * delta_beta_l * w**2) * grid.spacing
     phases = np.exp(1j * np.outer(cfg.taus(), w)) * static
     overlaps = np.einsum("tk,nk,mk->tnm", phases, m1, m2c, optimize=True)
@@ -95,7 +86,7 @@ def pairwise_chirp_scan(state1, state2, delta_beta_l, cfg) -> np.ndarray:
     turns = grid.spacing * dtau / (4.0 * math.pi)
     chirp = hom._chirp(turns, np.arange(n))
     chirp *= np.exp(-1j * 0.5 * delta_beta_l * w**2) * np.exp(1j * w * cfg.tau_min) * grid.spacing
-    products = (hom._mode_matrix(state1) * chirp)[:, None, :] * hom._mode_matrix(state2).conj()
+    products = (state1.modes * chirp)[:, None, :] * state2.modes.conj()
     size = hom._smooth_length(n + cfg.n_steps - 1)
     kernel = np.fft.fft(hom._chirp(turns, np.arange(1 - n, cfg.n_steps)).conj(), size)
     overlaps = np.fft.ifft(np.fft.fft(products, size) * kernel)[..., n - 1 : n - 1 + cfg.n_steps]
@@ -129,12 +120,12 @@ def grid_small():
 
 
 def test_identical_pure_states_interfere_perfectly(grid_small):
-    state = pure_state(gaussian_mode(grid_small, 0.031))
+    state = gaussian_mode(grid_small, 0.031)
     assert coincidence_probability(state, state, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_large_delay_gives_half(grid_small):
-    state = pure_state(gaussian_mode(grid_small, 0.031))
+    state = gaussian_mode(grid_small, 0.031)
     assert coincidence_probability(state, state, 0.0, 5e4) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -152,8 +143,8 @@ def test_orthogonal_pure_states_stay_at_half(grid_small):
     b = np.zeros(n, dtype=complex)
     a[: n // 2] = 1.0
     b[n // 2 :] = 1.0
-    s1 = pure_state(SpectralFunction(grid_small, a).normalized())
-    s2 = pure_state(SpectralFunction(grid_small, b).normalized())
+    s1 = pure_state(grid_small, a)
+    s2 = pure_state(grid_small, b)
     for tau in (-300.0, 0.0, 450.0):
         assert coincidence_probability_oracle(s1, s2, 0.0, tau) == pytest.approx(
             0.5, abs=1e-12
@@ -187,13 +178,13 @@ def test_probability_bound(grid_small):
 
 
 def test_grid_mismatch_raises(pipeline_state, grid_small):
-    other = pure_state(gaussian_mode(grid_small, 0.031))
+    other = gaussian_mode(grid_small, 0.031)
     with pytest.raises(IncompatibleGridError):
         coincidence_probability(pipeline_state, other, 0.0, 0.0)
 
 
 def test_scan_is_symmetric_for_even_spectra(grid_small):
-    state = pure_state(gaussian_mode(grid_small, 0.031))
+    state = gaussian_mode(grid_small, 0.031)
     cfg = ScanConfig(-1500.0, 1500.0, 101)
     for delta in (0.0, 9e4):  # real even modes: P(tau) == P(-tau) for any dBL
         result = scan(state, state, delta, cfg)
@@ -345,9 +336,7 @@ def test_scan_obeys_dip_area_sum_rule(preset, delta_beta_l):
         for tau_min in (-0.5 * n_steps * dtau, -1234.5):
             cfg = ScanConfig(tau_min, tau_min + (n_steps - 1) * dtau, n_steps)
             probs = scan(state, state, delta_beta_l, cfg).probabilities
-            diagonal = sum(
-                w * np.abs(m.amplitudes) ** 2 for w, m in zip(state.weights, state.modes)
-            )
+            diagonal = state.weights @ np.abs(state.modes) ** 2
             expected = math.pi * np.sum(diagonal**2) * grid.spacing
             assert np.sum(0.5 - probs) * dtau == pytest.approx(expected, rel=1e-12, abs=0)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cascade_network
-from homsim.errors import InvalidNetworkError, UnsupportedNetworkError
-from homsim.hom import ScanConfig, coincidence_probability, scan
+from helpers import cascade_network, coincidence_probability, pure_state
+from homsim.errors import IncompatibleGridError, InvalidNetworkError, UnsupportedNetworkError
+from homsim.hom import ScanConfig, scan
 from homsim.network import (
     BeamSplitterNode,
     DetectorNode,
@@ -22,7 +22,7 @@ from homsim.network import (
 )
 from homsim.schmidt import HeraldedState, herald, schmidt_decompose
 from homsim.source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
-from homsim.spectral import SpectralFunction, gaussian_mode, make_grid
+from homsim.spectral import gaussian_mode, make_grid
 
 X = 37.802 * 6000.0  # fs^2
 BW = 0.0309607  # 10 nm at 780 nm, rad/fs
@@ -65,18 +65,20 @@ def oracle_transfer_terms(net):
     return terms
 
 
-def quadrature_outcomes(net, modes, delays):
+def quadrature_outcomes(net, photons, delays):
     """The K^n frequency quadrature of every count pattern: the oracle of the
-    Gram-matrix engine.  Pure modes only."""
-    w = modes[0].grid.detunings
+    Gram-matrix engine.  Pure (rank-1) photons only."""
+    grid = photons[0].grid
+    w = grid.detunings
     terms = oracle_transfer_terms(net)
     vectors = {}
     for d in net.detectors:
-        for s, mode, tau in zip(net.sources, modes, delays):
+        for s, photon, tau in zip(net.sources, photons, delays):
+            (mode,) = photon.modes
             t = np.zeros(len(w), dtype=complex)
             for coeff, beta_l in terms.get((d.id, s.id), ()):
                 t = t + coeff * np.exp(-0.5j * beta_l * w**2)
-            vectors[(d.id, s.id)] = t * mode.amplitudes * np.exp(1j * w * tau)
+            vectors[(d.id, s.id)] = t * mode * np.exp(1j * w * tau)
     n = len(net.sources)
     detector_ids = [d.id for d in net.detectors]
     probs = {}
@@ -88,17 +90,18 @@ def quadrature_outcomes(net, modes, delays):
             amp = amp + reduce(np.multiply.outer, vecs)
         norm = math.prod(math.factorial(ports.count(p)) for p in set(ports))
         pattern = tuple(counts.count(i) for i in range(len(detector_ids)))
-        probs[pattern] = float(np.sum(np.abs(amp) ** 2)) * modes[0].grid.spacing**n / norm
+        probs[pattern] = float(np.sum(np.abs(amp) ** 2)) * grid.spacing**n / norm
     return probs
 
 
-def random_modes(grid, count, seed):
+def random_photons(grid, count, seed):
+    """``count`` pure photons of random complex, enveloped amplitudes."""
     rng = np.random.default_rng(seed)
     envelope = np.exp(-((grid.detunings / (0.5 * grid.detunings[-1])) ** 2))
     amps = rng.normal(size=(count, grid.n_points)) + 1j * rng.normal(
         size=(count, grid.n_points)
     )
-    return [SpectralFunction(grid, a * envelope).normalized() for a in amps]
+    return [pure_state(grid, a * envelope) for a in amps]
 
 
 def splitter_unitary(theta, psi, chi, alpha):
@@ -113,9 +116,9 @@ def splitter_unitary(theta, psi, chi, alpha):
     )
 
 
-def assert_matches_oracle(net, modes, delays):
-    engine = outcome_probabilities(net, modes, delays)
-    oracle = quadrature_outcomes(net, modes, delays)
+def assert_matches_oracle(net, photons, delays):
+    engine = outcome_probabilities(net, photons, delays)
+    oracle = quadrature_outcomes(net, photons, delays)
     assert engine.keys() == oracle.keys()
     assert max(abs(engine[k] - oracle[k]) for k in oracle) <= 1e-15
     return engine
@@ -127,7 +130,7 @@ def grid48():
 
 
 @pytest.fixture(scope="module")
-def identical_modes(grid48):
+def identical_photons(grid48):
     return [gaussian_mode(grid48, BW) for _ in range(3)]
 
 
@@ -275,43 +278,45 @@ def test_disjoint_photons_give_classical_value(grid48):
     # classical transfer probabilities (1/4 for this topology) and is
     # independent of every beta*L.
     n = grid48.n_points
-    modes = []
+    photons = []
     for k in range(3):
         amp = np.zeros(n, dtype=complex)
         amp[4 + 12 * k] = 1.0
-        modes.append(SpectralFunction(grid48, amp).normalized())
-    p_plain = outcome_probabilities(cascade_network(0, 0, 0, 0), modes, (0.0, 0.0, 0.0))[(1, 1, 1)]
+        photons.append(pure_state(grid48, amp))
+    p_plain = outcome_probabilities(cascade_network(0, 0, 0, 0), photons, (0.0, 0.0, 0.0))[
+        (1, 1, 1)
+    ]
     p_disp = outcome_probabilities(
-        cascade_network(3e5, 1e4, 7e4, 2e5), modes, (0.0, 0.0, 0.0)
+        cascade_network(3e5, 1e4, 7e4, 2e5), photons, (0.0, 0.0, 0.0)
     )[(1, 1, 1)]
     assert p_plain == pytest.approx(0.25, abs=1e-12)
     assert p_disp == pytest.approx(0.25, abs=1e-12)
 
 
-def test_cancellation_conditions_leave_coincidences_unchanged(identical_modes):
+def test_cancellation_conditions_leave_coincidences_unchanged(identical_photons):
     Y = 37.802 * 2000.0
     for delays in DELAY_GRID:
         base = outcome_probabilities(
-            cascade_network(0, 0, 0, 0), identical_modes, delays
+            cascade_network(0, 0, 0, 0), identical_photons, delays
         )[(1, 1, 1)]
         cond_i = outcome_probabilities(
-            cascade_network(X, X, X, 0.0), identical_modes, delays
+            cascade_network(X, X, X, 0.0), identical_photons, delays
         )[(1, 1, 1)]
         cond_ii = outcome_probabilities(
-            cascade_network(X, X, X + Y, Y), identical_modes, delays
+            cascade_network(X, X, X + Y, Y), identical_photons, delays
         )[(1, 1, 1)]
         assert cond_i == pytest.approx(base, abs=1e-9)
         assert cond_ii == pytest.approx(base, abs=1e-9)
 
 
-def test_violated_condition_changes_coincidences(identical_modes):
+def test_violated_condition_changes_coincidences(identical_photons):
     diffs = []
     for delays in DELAY_GRID:
         base = outcome_probabilities(
-            cascade_network(0, 0, 0, 0), identical_modes, delays
+            cascade_network(0, 0, 0, 0), identical_photons, delays
         )[(1, 1, 1)]
         bad = outcome_probabilities(
-            cascade_network(0.0, 1e5, 0.0, 0.0), identical_modes, delays
+            cascade_network(0.0, 1e5, 0.0, 0.0), identical_photons, delays
         )[(1, 1, 1)]
         diffs.append(abs(bad - base))
     assert max(diffs) > 1e-3
@@ -323,9 +328,9 @@ def test_outcome_probabilities_sum_to_one(grid48):
         size=(3, grid48.n_points)
     )
     envelope = np.exp(-((grid48.detunings / (0.5 * grid48.detunings[-1])) ** 2))
-    modes = [SpectralFunction(grid48, a * envelope).normalized() for a in amps]
+    photons = [pure_state(grid48, a * envelope) for a in amps]
     probs = outcome_probabilities(
-        cascade_network(1e5, 3e4, 0.0, 6e4), modes, (25.0, -10.0, 40.0)
+        cascade_network(1e5, 3e4, 0.0, 6e4), photons, (25.0, -10.0, 40.0)
     )
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-8)
     assert len(probs) == 10  # multisets of 3 photons over 3 ports
@@ -340,15 +345,13 @@ def test_single_splitter_reduces_to_hom(grid48):
         amps = rng.normal(size=(2, grid48.n_points)) + 1j * rng.normal(
             size=(2, grid48.n_points)
         )
-        m1 = SpectralFunction(grid48, amps[0] * envelope).normalized()
-        m2 = SpectralFunction(grid48, amps[1] * envelope).normalized()
+        s1 = pure_state(grid48, amps[0] * envelope)
+        s2 = pure_state(grid48, amps[1] * envelope)
         b1, b2 = rng.uniform(0, 2e5, size=2)
         tau = rng.uniform(-400, 400)
-        net_p = outcome_probabilities(single_splitter(b1, b2), [m1, m2], (tau, 0.0))[
+        net_p = outcome_probabilities(single_splitter(b1, b2), [s1, s2], (tau, 0.0))[
             (1, 1)
         ]
-        s1 = HeraldedState(np.array([1.0]), (m1,))
-        s2 = HeraldedState(np.array([1.0]), (m2,))
         # Both put exp(-i beta*L w^2/2) on each photon, hence b1 - b2.
         hom_p = coincidence_probability(s1, s2, b1 - b2, tau)
         worst = max(worst, abs(net_p - hom_p))
@@ -375,7 +378,7 @@ def test_off_centre_heralded_scan_matches_single_splitter():
     assert np.max(np.abs(result.probabilities - network)) < 1e-12
 
 
-def test_engine_rejects_one_and_seven_photons(grid48, identical_modes):
+def test_engine_rejects_one_and_seven_photons(grid48, identical_photons):
     with pytest.raises(UnsupportedNetworkError):
         outcome_probabilities(
             NetworkSpec(
@@ -384,7 +387,7 @@ def test_engine_rejects_one_and_seven_photons(grid48, identical_modes):
                 detectors=[DetectorNode("d")],
                 edges=[NetworkEdge("a", "d")],
             ),
-            identical_modes[:1],
+            identical_photons[:1],
         )
     # Seven photons: above the engine's cap, rejected before any numerics.
     ids = [f"s{k}" for k in range(7)]
@@ -396,16 +399,20 @@ def test_engine_rejects_one_and_seven_photons(grid48, identical_modes):
                 detectors=[DetectorNode(f"d{i}") for i in ids],
                 edges=[NetworkEdge(i, f"d{i}") for i in ids],
             ),
-            [identical_modes[0]] * 7,
+            [identical_photons[0]] * 7,
         )
 
 
-def test_mixed_convex_combination_matches_pure_for_rank_one(grid48, identical_modes):
-    states = [HeraldedState(np.array([1.0]), (m,)) for m in identical_modes]
+def test_mixed_convex_combination_matches_pure_for_rank_one(grid48, identical_photons):
+    # A mixture over copies of one mode is that pure state.
+    states = [
+        HeraldedState(np.array([0.3, 0.7]), np.repeat(m.modes, 2, axis=0), grid48)
+        for m in identical_photons
+    ]
     delays = (30.0, 0.0, -45.0)
     p_mixed = outcome_probabilities(cascade_network(X, X, X, 0.0), states, delays)[(1, 1, 1)]
     p_pure = outcome_probabilities(
-        cascade_network(X, X, X, 0.0), identical_modes, delays
+        cascade_network(X, X, X, 0.0), identical_photons, delays
     )[(1, 1, 1)]
     assert p_mixed == pytest.approx(p_pure, abs=1e-12)
 
@@ -421,7 +428,7 @@ CASCADES = {
 def test_engine_matches_quadrature_on_cascade(grid48, arms):
     # All 10 patterns, the bunched ones included.
     assert_matches_oracle(
-        cascade_network(*arms), random_modes(grid48, 3, seed=5), (25.0, -10.0, 40.0)
+        cascade_network(*arms), random_photons(grid48, 3, seed=5), (25.0, -10.0, 40.0)
     )
 
 
@@ -464,7 +471,7 @@ def mach_zehnder():
 @pytest.mark.parametrize("build", [complex_splitter, mach_zehnder], ids=["single", "mach-zehnder"])
 def test_engine_matches_quadrature_on_complex_splitter(grid48, build):
     # splitter_unitary(0.6, ...) has |t|^2 = cos(0.6)^2 = 0.68: not 50:50.
-    assert_matches_oracle(build(), random_modes(grid48, 2, seed=6), (-35.0, 20.0))
+    assert_matches_oracle(build(), random_photons(grid48, 2, seed=6), (-35.0, 20.0))
 
 
 def test_engine_matches_quadrature_for_four_photons():
@@ -490,7 +497,7 @@ def test_engine_matches_quadrature_for_four_photons():
             NetworkEdge("C.out1", "d3"),
         ],
     )
-    probs = assert_matches_oracle(net, random_modes(grid, 4, seed=7), (0.0, 15.0, -20.0, 5.0))
+    probs = assert_matches_oracle(net, random_photons(grid, 4, seed=7), (0.0, 15.0, -20.0, 5.0))
     assert len(probs) == 35  # multisets of 4 photons over 4 ports
 
 
@@ -500,13 +507,15 @@ def test_heralded_input_is_convex_combination_of_oracle_values():
     states = []
     for seed in (11, 12, 13):
         w = rng.uniform(0.1, 1.0, size=4)
-        states.append(HeraldedState(w / w.sum(), tuple(random_modes(grid, 4, seed))))
+        modes = np.concatenate([p.modes for p in random_photons(grid, 4, seed)])
+        states.append(HeraldedState(w / w.sum(), modes, grid))
     net = cascade_network(1e5, 3e4, 0.0, 6e4)
     delays = (25.0, -10.0, 40.0)
     expected = {}
     for idx in itertools.product(range(4), repeat=3):
         weight = math.prod(s.weights[i] for s, i in zip(states, idx))
-        oracle = quadrature_outcomes(net, [s.modes[i] for s, i in zip(states, idx)], delays)
+        photons = [HeraldedState([1.0], s.modes[i : i + 1], grid) for s, i in zip(states, idx)]
+        oracle = quadrature_outcomes(net, photons, delays)
         for pattern, p in oracle.items():
             expected[pattern] = expected.get(pattern, 0.0) + weight * p
     engine = outcome_probabilities(net, states, delays)
@@ -514,11 +523,43 @@ def test_heralded_input_is_convex_combination_of_oracle_values():
     assert outcome_probabilities(net, states, delays)[(1, 1, 1)] == engine[(1, 1, 1)]
 
 
-def test_delay_defaults_come_from_source_nodes(grid48, identical_modes):
+def test_engine_rejects_photons_on_different_grids(grid48, identical_photons):
+    other = gaussian_mode(make_grid(780.0, 10.0, 4.0, 64), BW)
+    with pytest.raises(IncompatibleGridError):
+        outcome_probabilities(single_splitter(), [identical_photons[0], other])
+
+
+def test_delay_defaults_come_from_source_nodes(grid48, identical_photons):
     net = cascade_network(0, 0, 0, 0, delays=(40.0, 0.0, -60.0))
-    p_default = outcome_probabilities(net, identical_modes)[(1, 1, 1)]
-    p_explicit = outcome_probabilities(net, identical_modes, (40.0, 0.0, -60.0))[(1, 1, 1)]
+    p_default = outcome_probabilities(net, identical_photons)[(1, 1, 1)]
+    p_explicit = outcome_probabilities(net, identical_photons, (40.0, 0.0, -60.0))[(1, 1, 1)]
     assert p_default == p_explicit
+
+
+def ladder(k):
+    """Two photons through k splitters in series: out0 of each feeds in0 of
+    the next over 1e4 fs^2 of dispersion, out1 feeds in1 without.  A photon
+    reaches each detector on 2^(k-1) paths but with only k distinct beta*L."""
+    angles = np.random.default_rng(k).uniform(-3.0, 3.0, size=(k, 4))
+    splitters = [BeamSplitterNode(f"L{j}", splitter_unitary(*angles[j])) for j in range(k)]
+    edges = [NetworkEdge("a", "L0.in0", 3e3), NetworkEdge("b", "L0.in1")]
+    for j in range(k - 1):
+        edges.append(NetworkEdge(f"L{j}.out0", f"L{j + 1}.in0", 1e4))
+        edges.append(NetworkEdge(f"L{j}.out1", f"L{j + 1}.in1"))
+    edges += [NetworkEdge(f"L{k - 1}.out0", "d0"), NetworkEdge(f"L{k - 1}.out1", "d1")]
+    sources = [SourceNode("a"), SourceNode("b")]
+    return NetworkSpec(sources, splitters, [DetectorNode("d0"), DetectorNode("d1")], edges)
+
+
+def test_ladder_keeps_one_term_per_distinct_beta_l(grid48):
+    k = 12
+    net = ladder(k)
+    oracle_terms = oracle_transfer_terms(net)
+    for key, paths in oracle_terms.items():
+        assert len(paths) == 2 ** (k - 1)
+        assert sorted(net.terms[key]) == sorted({beta_l for _, beta_l in paths})
+        assert len(net.terms[key]) == k
+    assert_matches_oracle(net, random_photons(grid48, 2, seed=12), (20.0, -15.0))
 
 
 @st.composite
@@ -563,13 +604,13 @@ def without_dispersion(net):
 @given(net=random_networks(), seed=st.integers(0, 2**16))
 def test_random_networks_obey_the_cancellation_rule(net, seed):
     grid = make_grid(780.0, 10.0, 4.0, 32)
-    modes = random_modes(grid, len(net.sources), seed)
-    probs = outcome_probabilities(net, modes)
+    photons = random_photons(grid, len(net.sources), seed)
+    probs = outcome_probabilities(net, photons)
     assert abs(sum(probs.values()) - 1.0) <= 1e-12
 
     report = check_cancellation(net)
     if report.satisfied:
-        plain = outcome_probabilities(without_dispersion(net), modes)
+        plain = outcome_probabilities(without_dispersion(net), photons)
         assert max(abs(probs[k] - plain[k]) for k in probs) <= 1e-12
 
     # Per splitter equal beta*L <=> equal beta*L on every path into one detector.

@@ -12,11 +12,10 @@ import yaml
 import homsim
 import homsim.network
 import homsim.runner
+from helpers import coincidence_probability
 from homsim.cli import main
-from homsim.hom import coincidence_probability
 from homsim.runner import run
 from homsim.scenario import dump, list_presets, load_preset, parse_scenario, scenario_from_dict
-from homsim.schmidt import HeraldedState
 from homsim.spectral import fwhm_wavelength_to_angular, gaussian_mode, make_grid
 
 NETWORK_SIM = {
@@ -188,8 +187,7 @@ def test_two_photon_network_sim_is_the_hom_dip(tmp_path, capsys, n_points):
     assert (code, err) == (0, "")
     payload = json.loads((tmp_path / "splitter-sim_sim.json").read_text())
     grid = make_grid(780.0, 10.0, 4.0, payload["grid_points"])
-    mode = gaussian_mode(grid, fwhm_wavelength_to_angular(10.0, 780.0))
-    state = HeraldedState(np.array([1.0]), (mode,))
+    state = gaussian_mode(grid, fwhm_wavelength_to_angular(10.0, 780.0))
 
     def dip(tau):
         return coincidence_probability(state, state, 226812.0 - 216812.0, tau)
@@ -296,14 +294,27 @@ BAD_NETWORKS = {
     ),
     "rounded-unitary": (
         _splitter_check(unitary=ROUNDED_UNITARY),
-        "configuration error: beam splitter A: matrix is not unitary",
+        "configuration error: network.beam_splitters.0.unitary: "
+        "beam splitter A: matrix is not unitary",
+    ),
+    "second-splitter-rounded": (
+        {
+            **NETWORK_SIM,
+            "network": {
+                **NETWORK_SIM["network"],
+                "beam_splitters": [{"id": "A"}, {"id": "B", "unitary": ROUNDED_UNITARY}],
+            },
+        },
+        "configuration error: network.beam_splitters.1.unitary: "
+        "beam splitter B: matrix is not unitary",
     ),
     "network-beside-broadening": (
         {
             **dump(load_preset("broadening-6m")),
             "network": _splitter_check(unitary=ROUNDED_UNITARY)["network"],
         },
-        "configuration error: beam splitter A: matrix is not unitary",
+        "configuration error: network.beam_splitters.0.unitary: "
+        "beam splitter A: matrix is not unitary",
     ),
 }
 
@@ -317,6 +328,45 @@ def test_cli_bad_network_is_rejected_before_writing(tmp_path, capsys, scenario, 
     assert code == 2
     assert stdout == ""
     assert message.format(file=scenario_path) in err
+    assert not out.exists()
+
+
+# Each case: a two-photon scenario that only the loader's cross-field rules
+# reject, and the key path its stderr line must name.
+BAD_SOURCES = {
+    # Equal slopes leave no type-II asymmetry; PhaseMatching would reject
+    # them only once the run had begun.
+    "equal-gvm": (
+        {
+            "name": "equal-gvm",
+            "mode": "two-photon-scan",
+            "source": {
+                "phase_matching": {"gvm_signal_fs_per_mm": 200.0, "gvm_idler_fs_per_mm": 200.0}
+            },
+        },
+        "{file}: source.phase_matching: ",
+    ),
+    # The eigenvalues sum to 1, so no mode reaches a threshold above 1.
+    "threshold-above-one": (
+        {
+            "name": "threshold",
+            "mode": "two-photon-scan",
+            "truncation": {"kind": "threshold", "value": 1.5},
+        },
+        "{file}: truncation.value: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario,message", BAD_SOURCES.values(), ids=BAD_SOURCES.keys())
+def test_cli_bad_source_is_rejected_before_writing(tmp_path, capsys, scenario, message):
+    scenario_path = tmp_path / "source.yaml"
+    scenario_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, ["run", str(scenario_path), "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert "configuration error: " + message.format(file=scenario_path) in err
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import inner_product, reconstruct
+from helpers import inner_products, reconstruct
 from homsim.errors import DegenerateStateError, InvalidArgumentError
 from homsim.hom import visibility_curve
 from homsim.schmidt import (
@@ -26,7 +26,7 @@ from homsim.source import (
     apply_filters,
     build_jsa,
 )
-from homsim.spectral import FrequencyGrid, SpectralFunction, make_grid
+from homsim.spectral import FrequencyGrid, make_grid
 
 
 def correlated_gaussian_jsa(mu: float, n: int = 512, span_sigmas: float = 8.0):
@@ -114,11 +114,12 @@ def test_full_rank_reconstruction_is_exact(filtered_jsa):
 
 def test_mode_sets_are_orthonormal(filtered_jsa):
     decomp = schmidt_decompose(filtered_jsa)
-    for modes in (decomp.signal_modes, decomp.idler_modes):
-        for i, mi in enumerate(modes):
-            for j, mj in enumerate(modes):
-                expected = 1.0 if i == j else 0.0
-                assert abs(inner_product(mi, mj) - expected) < 1e-10
+    weights = decomp.eigenvalues
+    signal = HeraldedState(weights, decomp.signal_modes, decomp.grid_signal)
+    idler = HeraldedState(weights, decomp.idler_modes, decomp.grid_idler)
+    for state in (signal, idler):
+        gram = inner_products(state, state)
+        assert np.max(np.abs(gram - np.eye(decomp.rank))) < 1e-10
 
 
 def test_truncation_rules(filtered_jsa):
@@ -148,7 +149,8 @@ def test_herald_copies_eigenvalues(filtered_jsa):
     decomp = schmidt_decompose(filtered_jsa)
     state = herald(decomp)
     assert np.array_equal(state.weights, decomp.eigenvalues)
-    assert all(a is b for a, b in zip(state.modes, decomp.signal_modes))
+    assert state.modes is decomp.signal_modes
+    assert state.grid is decomp.grid_signal
     assert purity(state) == pytest.approx(1.0 / schmidt_number(decomp), rel=1e-14)
 
 
@@ -156,21 +158,17 @@ def geometric_state(mu: float, n_modes: int = 40):
     grid = make_grid(780.0, 10.0, 4.0, 128)
     lam = (1 - mu) * mu ** np.arange(n_modes)
     lam /= lam.sum()
-    modes = []
-    for k in range(n_modes):
-        amp = np.zeros(128, dtype=complex)
-        amp[k] = 1.0 / math.sqrt(grid.spacing)
-        modes.append(SpectralFunction(grid, amp))
-    return HeraldedState(weights=lam, modes=tuple(modes))
+    modes = np.eye(n_modes, 128) / math.sqrt(grid.spacing)
+    return HeraldedState(weights=lam, modes=modes, grid=grid)
 
 
 def test_purity_examples():
     assert purity(geometric_state(0.25)) == pytest.approx(0.6, abs=1e-9)
-    half = HeraldedState(
-        weights=np.array([0.5, 0.5]), modes=geometric_state(0.5, 2).modes
-    )
+    two = geometric_state(0.5, 2)
+    half = HeraldedState(weights=np.array([0.5, 0.5]), modes=two.modes, grid=two.grid)
     assert purity(half) == 0.5
-    pure = HeraldedState(weights=np.array([1.0]), modes=geometric_state(0.5, 1).modes)
+    one = geometric_state(0.5, 1)
+    pure = HeraldedState(weights=np.array([1.0]), modes=one.modes, grid=one.grid)
     assert purity(pure) == 1.0
 
 
@@ -200,7 +198,7 @@ def test_postulated_pure_state_formula():
     assert np.array_equal(state.weights, [1.0])
     assert purity(state) == 1.0
     expected = (0.8 * e0 + 0.2 * e1) / math.sqrt(0.68)
-    overlap = np.vdot(expected, state.modes[0].amplitudes) * grid.spacing
+    overlap = np.vdot(expected, state.modes[0]) * grid.spacing
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
@@ -208,9 +206,7 @@ def test_postulated_pure_state_of_rank1_equals_herald():
     decomp = schmidt_decompose(separable_jsa(), rank=1)
     heralded = herald(decomp)
     postulated = postulate_pure_state(decomp)
-    fidelity = abs(
-        inner_product(heralded.modes[0], postulated.modes[0])
-    )
+    fidelity = abs(inner_products(heralded, postulated)[0, 0])
     assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -218,14 +214,12 @@ def test_postulate_rejects_cancelling_modes():
     grid = make_grid(780.0, 10.0, 4.0, 128)
     amp = np.zeros(128, dtype=complex)
     amp[5] = 1.0 / math.sqrt(grid.spacing)
-    plus = SpectralFunction(grid, amp)
-    minus = SpectralFunction(grid, -amp)
-    decomp_like = schmidt_decompose(separable_jsa(), rank=1)
-    fake = type(decomp_like)(
+    fake = SchmidtDecomposition(
         eigenvalues=np.array([0.5, 0.5]),
-        signal_modes=(plus, minus),
-        idler_modes=(plus, minus),
-        rank=2,
+        signal_modes=np.array([amp, -amp]),
+        idler_modes=np.array([amp, -amp]),
+        grid_signal=grid,
+        grid_idler=grid,
     )
     with pytest.raises(DegenerateStateError):
         postulate_pure_state(fake)
@@ -251,16 +245,16 @@ def test_eigenvalues_invariant_under_global_phase(filtered_jsa):
     a = schmidt_decompose(filtered_jsa)
     b = schmidt_decompose(rotated)
     assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-12)
-    for ma, mb in zip(a.signal_modes, b.signal_modes):
-        assert abs(abs(inner_product(ma, mb)) - 1.0) < 1e-9
+    overlaps = np.diag(inner_products(herald(a), herald(b)))
+    assert np.max(np.abs(np.abs(overlaps) - 1.0)) < 1e-9
 
 
 def test_decomposition_is_deterministic(filtered_jsa):
     a = schmidt_decompose(filtered_jsa)
     b = schmidt_decompose(filtered_jsa)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    for ma, mb in zip(a.signal_modes, b.signal_modes):
-        assert np.array_equal(ma.amplitudes, mb.amplitudes)
+    assert np.array_equal(a.signal_modes, b.signal_modes)
+    assert np.array_equal(a.idler_modes, b.idler_modes)
 
 
 def test_degenerate_pair_ordered_by_first_moment():
@@ -275,10 +269,7 @@ def test_degenerate_pair_ordered_by_first_moment():
         grid, grid, np.outer(hi, hi) + np.outer(lo, lo)
     )
     decomp = schmidt_decompose(jsa, mass=1.0)
-    moments = [
-        float(np.sum(m.grid.detunings * np.abs(m.amplitudes) ** 2) * m.grid.spacing)
-        for m in decomp.signal_modes[:2]
-    ]
+    moments = np.abs(decomp.signal_modes[:2]) ** 2 @ grid.detunings * grid.spacing
     assert abs(decomp.eigenvalues[0] - decomp.eigenvalues[1]) < 1e-12
     assert moments[0] < moments[1]
 
@@ -308,8 +299,8 @@ def test_randomized_decomposition_matches_full_svd(model, signal_fwhm, n):
         assert np.max(np.abs(decomp.eigenvalues - kept)) < 1e-12, rule
         assert abs(decomp.tail_mass - lam[keep:].sum() / lam.sum()) < 1e-12, rule
         gu, gvh = fix_gauge(u[:, :keep], vh[:keep])
-        got_u = np.array([m.amplitudes for m in decomp.signal_modes]).T * root_spacing
-        got_vh = np.array([m.amplitudes for m in decomp.idler_modes]) * root_spacing
+        got_u = decomp.signal_modes.T * root_spacing
+        got_vh = decomp.idler_modes * root_spacing
         assert np.max(np.abs(got_u - gu)) < 1e-9, rule
         assert np.max(np.abs(got_vh - gvh)) < 1e-9, rule
 
@@ -325,9 +316,10 @@ def _decomposition(grid, u, s, vh) -> SchmidtDecomposition:
     root = math.sqrt(grid.spacing)
     return SchmidtDecomposition(
         eigenvalues=lam,
-        signal_modes=tuple(SpectralFunction(grid, u[:, n] / root) for n in range(len(s))),
-        idler_modes=tuple(SpectralFunction(grid, vh[n] / root) for n in range(len(s))),
-        rank=len(s),
+        signal_modes=u.T / root,
+        idler_modes=vh / root,
+        grid_signal=grid,
+        grid_idler=grid,
     )
 
 
@@ -349,7 +341,7 @@ def test_gauge_ignores_pair_phases_and_rounding(filtered_svd, thetas, noise_seed
     assert np.max(np.abs(got_vh - ref_vh)) < 1e-12
     ref = postulate_pure_state(_decomposition(grid, ref_u, s, ref_vh)).modes[0]
     got = postulate_pure_state(_decomposition(grid, got_u, s, got_vh)).modes[0]
-    assert np.max(np.abs(got.amplitudes - ref.amplitudes)) * math.sqrt(grid.spacing) < 1e-12
+    assert np.max(np.abs(got - ref)) * math.sqrt(grid.spacing) < 1e-12
 
 
 def test_postulated_pure_curve_does_not_depend_on_grid_size():
@@ -365,3 +357,18 @@ def test_postulated_pure_curve_does_not_depend_on_grid_size():
         curves.append(np.array(visibility_curve(state, 37.802, 6000.0, deltas)))
     for curve in curves[1:]:
         assert np.max(np.abs(curve - curves[0])) < 1e-9
+
+
+def test_decomposition_modes_match_eigenvalues_and_grids():
+    grid = make_grid(780.0, 10.0, 4.0, 64)
+    other = make_grid(780.0, 10.0, 4.0, 48)
+    modes = np.eye(2, 64)
+    decomp = SchmidtDecomposition(np.array([0.75, 0.25]), modes, modes, grid, grid)
+    assert decomp.rank == 2
+    assert decomp.signal_modes.dtype == complex
+    with pytest.raises(ValueError):
+        decomp.idler_modes[0, 0] = 0.0
+    with pytest.raises(InvalidArgumentError):
+        SchmidtDecomposition(np.array([1.0]), modes, modes, grid, grid)
+    with pytest.raises(InvalidArgumentError):
+        SchmidtDecomposition(np.array([0.75, 0.25]), modes, modes, grid, other)

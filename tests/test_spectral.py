@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import inner_product
+from helpers import inner_products, pure_state
 from homsim.errors import IncompatibleGridError, InvalidArgumentError
 from homsim.spectral import (
-    SpectralFunction,
+    HeraldedState,
     fwhm_wavelength_to_angular,
     gaussian_mode,
     make_grid,
 )
+
+
+def inner_product(f: HeraldedState, g: HeraldedState) -> complex:
+    """<f|g> of two rank-1 states."""
+    return complex(inner_products(f, g)[0, 0])
 
 C = 299.792458  # nm/fs
 
@@ -85,8 +90,8 @@ def test_disjoint_supports_are_orthogonal():
     b = np.zeros(grid.n_points, dtype=complex)
     a[:half] = 1.0
     b[half:] = 1.0
-    fa = SpectralFunction(grid, a).normalized()
-    fb = SpectralFunction(grid, b).normalized()
+    fa = pure_state(grid, a)
+    fb = pure_state(grid, b)
     assert inner_product(fa, fb) == 0
 
 
@@ -96,18 +101,18 @@ def test_offset_gaussian_overlap():
     grid = make_grid(780.0, 10.0, 6.0, 2048)
     s = 0.01
     x = grid.detunings
-    f = SpectralFunction(grid, np.exp(-(x**2) / (2 * s**2))).normalized()
-    g = SpectralFunction(grid, np.exp(-((x - s) ** 2) / (2 * s**2))).normalized()
+    f = pure_state(grid, np.exp(-(x**2) / (2 * s**2)))
+    g = pure_state(grid, np.exp(-((x - s) ** 2) / (2 * s**2)))
     assert inner_product(f, g).real == pytest.approx(math.exp(-0.25), rel=1e-9)
 
 
 def test_inner_product_is_sesquilinear():
     grid = make_grid(780.0, 10.0, 4.0, 256)
     rng = np.random.default_rng(3)
-    f = SpectralFunction(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
-    g = SpectralFunction(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
+    f = HeraldedState([1.0], [rng.normal(size=256) + 1j * rng.normal(size=256)], grid)
+    g = HeraldedState([1.0], [rng.normal(size=256) + 1j * rng.normal(size=256)], grid)
     alpha = 0.7 - 1.3j
-    scaled = SpectralFunction(grid, alpha * f.amplitudes)
+    scaled = HeraldedState([1.0], alpha * f.modes, grid)
     assert inner_product(scaled, g) == pytest.approx(
         np.conj(alpha) * inner_product(f, g), rel=1e-12
     )
@@ -140,3 +145,24 @@ def test_grid_detunings_are_immutable():
     grid = make_grid(780.0, 10.0, 4.0, 64)
     with pytest.raises(ValueError):
         grid.detunings[0] = 1.0
+
+
+def test_state_modes_must_match_weights_and_grid():
+    grid = make_grid(780.0, 10.0, 4.0, 64)
+    modes = np.ones((2, 64))
+    state = HeraldedState([0.25, 0.75], modes, grid)
+    assert state.modes.dtype == complex and state.modes.shape == (2, 64)
+    with pytest.raises(ValueError):
+        state.modes[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        state.weights[0] = 0.0
+    for weights, bad in (
+        ([1.0], modes),  # one weight, two modes
+        ([0.25, 0.75], np.ones((2, 63))),  # another grid size
+        ([0.25, 0.75], np.ones(64)),  # not a matrix
+        ([], np.ones((0, 64))),  # no mode
+    ):
+        with pytest.raises(InvalidArgumentError):
+            HeraldedState(weights, bad, grid)
+    with pytest.raises(InvalidArgumentError):
+        HeraldedState([0.5, 0.6], modes, grid)  # weights sum to 1.1
