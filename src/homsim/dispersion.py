@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .constants import FOUR_LN2, GAUSSIAN_TIME_BANDWIDTH
+from .constants import FOUR_LN2, GAUSSIAN_TIME_BANDWIDTH, fwhm_wavelength_to_angular
 from .errors import InvalidArgumentError
-from .spectral import fwhm_wavelength_to_angular
 
 
 def broadened_duration(

@@ -34,7 +34,15 @@ class FitFailureError(SimulationError):
 
 
 class InvalidNetworkError(SimulationError):
-    """Network wiring violates the DAG / port-usage rules."""
+    """Network wiring violates the DAG / port-usage rules.
+
+    ``where`` names the faulty input of ``NetworkSpec``: the argument, the
+    index in it and, for an edge, the endpoint, e.g. ``("edges", 2, "end")``.
+    """
+
+    def __init__(self, message: str, where: tuple = ()):
+        super().__init__(message)
+        self.where = where
 
 
 class UnsupportedNetworkError(SimulationError):

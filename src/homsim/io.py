@@ -1,18 +1,23 @@
 """Deterministic file writers: CSV ('.' decimals, LF, UTF-8) and sorted JSON.
 
 Identical inputs produce byte-identical files, which the run manifest relies
-on for reproducibility checks.
+on for reproducibility checks.  Only the JSI writer uses numpy, and imports
+it when it runs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from collections.abc import Iterable
 
-from .hom import DipMetrics, InterferenceScan
-from .source import JointSpectralAmplitude, jsi
+    import numpy as np
+
+    from .hom import DipMetrics, InterferenceScan
+    from .source import JointSpectralAmplitude
 
 
 def _fmt(x: float) -> str:
@@ -29,10 +34,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_scan_csv(path: Path, scan: InterferenceScan) -> None:
-    lines = ["tau_fs,probability"]
-    for t, p in zip(scan.taus, scan.probabilities):
-        lines.append(f"{_fmt(t)},{_fmt(p)}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_curve_csv(path, ["tau_fs", "probability"], zip(scan.taus, scan.probabilities))
 
 
 def metrics_payload(metrics: DipMetrics) -> dict:
@@ -46,7 +48,9 @@ def metrics_payload(metrics: DipMetrics) -> dict:
     }
 
 
-def write_curve_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def write_curve_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
+    """One line per row, every value as ``format(float(v), ".17g")``: an
+    integral value prints as an integer (``3``, not ``3.0``)."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -54,10 +58,7 @@ def write_curve_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 
 def write_eigenvalues_csv(path: Path, eigenvalues: np.ndarray) -> None:
-    lines = ["index,eigenvalue"]
-    for i, lam in enumerate(eigenvalues):
-        lines.append(f"{i},{_fmt(lam)}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_curve_csv(path, ["index", "eigenvalue"], enumerate(eigenvalues))
 
 
 def write_jsi_csv(path: Path, jsa: JointSpectralAmplitude) -> None:
@@ -70,10 +71,25 @@ def write_jsi_csv(path: Path, jsa: JointSpectralAmplitude) -> None:
         f"# idler: center_nm={_fmt(gi.center_wavelength)} n={gi.n_points} "
         f"spacing_rad_fs={_fmt(gi.spacing)}",
     ]
+    import numpy as np
+
+    from .source import jsi
+
     intensity = jsi(jsa)
-    # One %-format per row; the same text as format(v, ".8g") per cell.
-    row_format = ",".join(["%.8g"] * intensity.shape[1])
-    lines = header + [row_format % tuple(row) for row in intensity.tolist()]
+    # One %-format per row over its band from the first to the last cell that
+    # is not +0.0 (-0.0 prints "-0"); the same text as format(v, ".8g") per cell.
+    nonzero = (intensity != 0) | np.signbit(intensity)
+    n = intensity.shape[1]
+    firsts = nonzero.argmax(axis=1).tolist()
+    ends = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    zero_row = ",".join(["0"] * n)
+    lines = header
+    for row, any_nonzero, a, b in zip(intensity, nonzero.any(axis=1), firsts, ends):
+        if not any_nonzero:
+            lines.append(zero_row)
+            continue
+        band = ",".join(["%.8g"] * (b - a)) % tuple(row[a:b].tolist())
+        lines.append("0," * a + band + ",0" * (n - b))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -42,6 +42,10 @@ output) to one input (a detector or a splitter input), so
 sources + 2 splitters = detectors + 2 splitters.  The n-photon coincidence,
 one photon per detector, is therefore always the all-ones pattern
 ``(1,) * n`` of :func:`outcome_probabilities`.
+
+The wiring, the walk and the audit run in plain Python; numpy is imported
+only by the engine (:func:`_gram_matrices`, :func:`outcome_probabilities`),
+so a ``network-check`` run never loads it.
 """
 
 from __future__ import annotations
@@ -49,21 +53,21 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, InvalidNetworkError, UnsupportedNetworkError
-from .spectral import HeraldedState
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .spectral import HeraldedState
 
 MAX_PHOTONS = 6  # 518400 permutation pairs per pattern at n = 6
 _PAIR_PRODUCTS_PER_STEP = 1 << 18  # bounds the memory of one numpy step
-
-
-def splitter_50_50() -> np.ndarray:
-    """Default beam-splitter unitary (real 50/50)."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_HALF = complex(1.0 / math.sqrt(2.0))
+SPLITTER_50_50 = ((_HALF, _HALF), (_HALF, -_HALF))  # default unitary (real 50/50)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -76,18 +80,23 @@ class SourceNode:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BeamSplitterNode:
-    """2x2 lossless node; ports are ``<id>.in0/.in1`` and ``<id>.out0/.out1``."""
+    """2x2 lossless node; ports are ``<id>.in0/.in1`` and ``<id>.out0/.out1``.
+
+    ``unitary[out][in]`` is stored as a 2x2 tuple of ``complex``; every entry
+    of U U^dagger must lie within 1e-12 of the identity's.
+    """
 
     id: str
-    unitary: np.ndarray = field(default_factory=splitter_50_50)
+    unitary: tuple[tuple[complex, ...], ...] = SPLITTER_50_50
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (2, 2):
+        u = tuple(tuple(map(complex, row)) for row in self.unitary)
+        if tuple(map(len, u)) != (2, 2):
             raise InvalidArgumentError(f"beam splitter {self.id}: unitary must be 2x2")
-        if not np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12):
-            raise InvalidArgumentError(f"beam splitter {self.id}: matrix is not unitary")
-        u.setflags(write=False)
+        for i, j in itertools.product((0, 1), repeat=2):
+            entry = u[i][0] * u[j][0].conjugate() + u[i][1] * u[j][1].conjugate()
+            if not abs(entry - float(i == j)) <= 1e-12:  # NaN fails too
+                raise InvalidArgumentError(f"beam splitter {self.id}: matrix is not unitary")
         object.__setattr__(self, "unitary", u)
 
 
@@ -152,10 +161,11 @@ class NetworkSpec:
     """Validated interferometer wiring and the one walk over its paths.
 
     Raises :class:`InvalidNetworkError` for cyclic graphs, dangling or
-    multiply-used ports, or unknown endpoint names.  ``paths`` and ``terms``
-    hold the two results of :func:`_walk`: the accumulated beta*L of every
-    source -> beam-splitter path, and per (detector, source) the summed
-    amplitude coefficient of each distinct beta*L among its paths.
+    multiply-used ports, or unknown endpoint names; its ``where`` names the
+    faulty node or edge endpoint.  ``paths`` and ``terms`` hold the two
+    results of :func:`_walk`: the accumulated beta*L of every source ->
+    beam-splitter path, and per (detector, source) the summed amplitude
+    coefficient of each distinct beta*L among its paths.
     """
 
     def __init__(
@@ -175,37 +185,39 @@ class NetworkSpec:
         self.paths, self.terms = _walk(self)
 
     def _validate(self) -> None:
-        ids = [n.id for n in self.sources + self.beam_splitters + self.detectors]
-        if len(set(ids)) != len(ids):
-            raise InvalidNetworkError("node ids must be unique")
-        source_ids = {s.id for s in self.sources}
-        detector_ids = {d.id for d in self.detectors}
+        ids = set()
+        for kind in ("sources", "beam_splitters", "detectors"):
+            for i, node in enumerate(getattr(self, kind)):
+                if node.id in ids:
+                    raise InvalidNetworkError("node ids must be unique", (kind, i))
+                ids.add(node.id)
 
-        valid_starts = set(source_ids)
-        valid_ends = set(detector_ids)
-        for b in self.beam_splitters:
-            valid_starts.update((f"{b.id}.out0", f"{b.id}.out1"))
-            valid_ends.update((f"{b.id}.in0", f"{b.id}.in1"))
+        # Every output and input port, in node order, with its node's place.
+        ports = {
+            "output": {s.id: ("sources", i) for i, s in enumerate(self.sources)},
+            "input": {d.id: ("detectors", i) for i, d in enumerate(self.detectors)},
+        }
+        for i, b in enumerate(self.beam_splitters):
+            for k in (0, 1):
+                ports["output"][f"{b.id}.out{k}"] = ("beam_splitters", i)
+                ports["input"][f"{b.id}.in{k}"] = ("beam_splitters", i)
 
-        ends_seen = set()
-        for e in self.edges:
-            if e.start not in valid_starts:
-                raise InvalidNetworkError(f"unknown or non-output endpoint {e.start!r}")
-            if e.end not in valid_ends:
-                raise InvalidNetworkError(f"unknown or non-input endpoint {e.end!r}")
-            if e.start in self._edges_from:
-                raise InvalidNetworkError(f"output {e.start!r} wired more than once")
-            if e.end in ends_seen:
-                raise InvalidNetworkError(f"input {e.end!r} wired more than once")
-            self._edges_from[e.start] = e
-            ends_seen.add(e.end)
-
-        for start in valid_starts:
-            if start not in self._edges_from:
-                raise InvalidNetworkError(f"output {start!r} is not connected")
-        for end in valid_ends:
-            if end not in ends_seen:
-                raise InvalidNetworkError(f"input {end!r} is not connected")
+        wired = {"output": self._edges_from, "input": {}}
+        for i, e in enumerate(self.edges):
+            for key, kind, port in (("start", "output", e.start), ("end", "input", e.end)):
+                if port not in ports[kind]:
+                    raise InvalidNetworkError(
+                        f"unknown or non-{kind} endpoint {port!r}", ("edges", i, key)
+                    )
+                if port in wired[kind]:
+                    raise InvalidNetworkError(
+                        f"{kind} {port!r} wired more than once", ("edges", i, key)
+                    )
+                wired[kind][port] = e
+        for kind, places in ports.items():
+            for port, where in places.items():
+                if port not in wired[kind]:
+                    raise InvalidNetworkError(f"{kind} {port!r} is not connected", where)
 
 
 def _walk(
@@ -243,13 +255,16 @@ def _walk(
             merged[acc] = merged[acc] + coeff if acc in merged else coeff
             return
         if node in via:
-            raise InvalidNetworkError(f"network contains a cycle through {node!r}")
+            raise InvalidNetworkError(
+                f"network contains a cycle through {node!r}",
+                ("beam_splitters", net.beam_splitters.index(bs)),
+            )
         paths.append(PathDispersion(source_id, node, acc, via))
         in_idx = 0 if port == "in0" else 1
         for out_idx in (0, 1):
             visit(
                 f"{node}.out{out_idx}",
-                coeff * complex(bs.unitary[out_idx, in_idx]),
+                coeff * bs.unitary[out_idx][in_idx],
                 acc,
                 via + (node,),
                 source_id,
@@ -258,9 +273,11 @@ def _walk(
     for s in net.sources:
         visit(s.id, 1.0 + 0.0j, 0.0, (), s.id)
     reached = {p.beam_splitter for p in paths}
-    for b in net.beam_splitters:
+    for i, b in enumerate(net.beam_splitters):
         if b.id not in reached:
-            raise InvalidNetworkError(f"network contains a cycle through {b.id!r}")
+            raise InvalidNetworkError(
+                f"network contains a cycle through {b.id!r}", ("beam_splitters", i)
+            )
     return paths, terms
 
 
@@ -319,6 +336,8 @@ def _gram_matrices(
     """G[d] = dw V_d^dagger V_d over every (source, mode) port vector
     V_d(w) = t_{d,s}(w) phi(w) e^{i w tau_s}, columns in source-then-mode
     order; shape (detectors, modes, modes)."""
+    import numpy as np
+
     grid = states[0].grid
     w = grid.detunings
     shifts = [np.exp(1j * w * tau) for tau in delays]
@@ -355,6 +374,8 @@ def outcome_probabilities(
             f"coincidence simulation supports 2 to {MAX_PHOTONS} photons, "
             f"network has {n} sources"
         )
+    import numpy as np
+
     gram = _gram_matrices(net, inputs, _source_delays(net, inputs, delays))
 
     # Mode tuples (one Schmidt mode per source) as Gram columns, with weights.

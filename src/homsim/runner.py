@@ -3,6 +3,10 @@
 Every run writes ``<basename>_manifest.yaml`` holding the fully resolved
 scenario (all defaults materialized) plus the list of emitted files; feeding
 the manifest back to ``run`` reproduces those files byte for byte.
+
+The two-photon modes import the array pipelines (``source``, ``schmidt``,
+``hom``, ``spectral``) when they run, and ``network-sim`` imports
+``spectral``; the broadening and ``network-check`` modes load no numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +15,14 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__, io
-from .constants import GAUSSIAN_TIME_BANDWIDTH
+from .constants import GAUSSIAN_TIME_BANDWIDTH, fwhm_wavelength_to_angular
 from .dispersion import broadened_duration
-from .errors import InvalidArgumentError, ScenarioParseError
-from .hom import ScanConfig, default_scan_config, fit_dip, scan, visibility_curve
+from .errors import InvalidArgumentError, InvalidNetworkError, ScenarioParseError
 from .network import (
+    SPLITTER_50_50,
     BeamSplitterNode,
     DetectorNode,
     NetworkEdge,
@@ -30,27 +33,6 @@ from .network import (
     outcome_probabilities,
 )
 from .scenario import NetworkConfig, Scenario, dump
-from .schmidt import (
-    TRUNCATION_WARNING_MASS,
-    herald,
-    postulate_pure_state,
-    purity,
-    schmidt_decompose,
-    schmidt_number,
-)
-from .source import (
-    BandpassFilter,
-    PhaseMatching,
-    PumpSpectrum,
-    apply_filters,
-    build_jsa,
-)
-from .spectral import (
-    FrequencyGrid,
-    fwhm_wavelength_to_angular,
-    gaussian_mode,
-    make_grid,
-)
 
 NETWORK_MIN_POINTS = 48
 # Numerical-health threshold on |sum of network outcome probabilities - 1|.
@@ -69,55 +51,21 @@ class RunResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _pump(sc: Scenario) -> PumpSpectrum:
-    return PumpSpectrum(
-        center_wavelength=sc.source.pump.center_wavelength_nm,
-        pulse_duration_fwhm=sc.source.pump.pulse_duration_fwhm_fs,
-    )
-
-
-def _phase_matching(sc: Scenario) -> PhaseMatching:
-    pmc = sc.source.phase_matching
-    return PhaseMatching(
-        crystal_length=pmc.crystal_length_mm,
-        model=pmc.model,
-        gvm_signal=pmc.gvm_signal_fs_per_mm,
-        gvm_idler=pmc.gvm_idler_fs_per_mm,
-    )
-
-
-def _grid(sc: Scenario) -> FrequencyGrid:
-    g = sc.source.grid
-    return make_grid(
-        2.0 * sc.source.pump.center_wavelength_nm,
-        g.reference_bandwidth_fwhm_nm,
-        g.span_factor,
-        g.n_points,
-    )
-
-
-def _filter(cfg) -> BandpassFilter | None:
-    if cfg is None:
-        return None
-    return BandpassFilter(
-        center_wavelength=cfg.center_wavelength_nm, fwhm=cfg.fwhm_nm, shape=cfg.shape
-    )
-
-
 def _heralded_state(sc: Scenario, jsa_decomp):
+    from .schmidt import herald, postulate_pure_state
+
     if sc.purity_mode == "mixed":
         return herald(jsa_decomp)
     return postulate_pure_state(jsa_decomp)
 
 
 def build_network(cfg: NetworkConfig) -> NetworkSpec:
+    """The validated spec of a network section; a wiring or splitter fault
+    is a ``ScenarioParseError`` at its key path, in the loader's form."""
     sources = [SourceNode(s.id, s.delay_fs) for s in cfg.sources]
     splitters = []
     for i, b in enumerate(cfg.beam_splitters):
-        if b.unitary is None:
-            splitters.append(BeamSplitterNode(b.id))
-            continue
-        u = np.array([[complex(c[0], c[1]) for c in row] for row in b.unitary])
+        u = SPLITTER_50_50 if b.unitary is None else [[complex(*c) for c in r] for r in b.unitary]
         try:
             splitters.append(BeamSplitterNode(b.id, u))
         except InvalidArgumentError as exc:
@@ -132,7 +80,11 @@ def build_network(cfg: NetworkConfig) -> NetworkSpec:
         else:
             beta_l = 0.0
         edges.append(NetworkEdge(e.start, e.end, beta_l))
-    return NetworkSpec(sources, splitters, detectors, edges)
+    try:
+        return NetworkSpec(sources, splitters, detectors, edges)
+    except InvalidNetworkError as exc:
+        path = ".".join(map(str, ("network",) + exc.where))
+        raise ScenarioParseError(f"{path}: {exc}") from None
 
 
 def _network_grid_points(cfg: NetworkConfig, net: NetworkSpec) -> int:
@@ -163,21 +115,37 @@ def _network_grid_points(cfg: NetworkConfig, net: NetworkSpec) -> int:
     return max(NETWORK_MIN_POINTS, math.ceil(1.0 + span * extent / math.pi))
 
 
-def _scan_config(sc: Scenario, delta_beta_l: float) -> ScanConfig:
+def _scan_config(sc: Scenario, delta_beta_l: float):
+    from .hom import ScanConfig, default_scan_config
+
     if sc.scan is not None:
         return ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)
     return default_scan_config(delta_beta_l)
 
 
 def _filtered_jsa(sc: Scenario):
-    grid = _grid(sc)
-    jsa = build_jsa(_pump(sc), _phase_matching(sc), grid, grid)
-    return apply_filters(jsa, _filter(sc.filters.signal), _filter(sc.filters.idler))
+    from .source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
+    from .spectral import make_grid
+
+    src, g, pmc = sc.source, sc.source.grid, sc.source.phase_matching
+    center = 2.0 * src.pump.center_wavelength_nm
+    grid = make_grid(center, g.reference_bandwidth_fwhm_nm, g.span_factor, g.n_points)
+    pump = PumpSpectrum(src.pump.center_wavelength_nm, src.pump.pulse_duration_fwhm_fs)
+    pm = PhaseMatching(
+        pmc.crystal_length_mm, pmc.model, pmc.gvm_signal_fs_per_mm, pmc.gvm_idler_fs_per_mm
+    )
+    signal, idler = (
+        None if f is None else BandpassFilter(f.center_wavelength_nm, f.fwhm_nm, f.shape)
+        for f in (sc.filters.signal, sc.filters.idler)
+    )
+    return apply_filters(build_jsa(pump, pm, grid, grid), signal, idler)
 
 
 def _decomposition(sc: Scenario, warnings: list[str]):
     """The filtered JSA and its Schmidt decomposition under the scenario's
     truncation; a truncation that discards too much mass adds a warning."""
+    from .schmidt import TRUNCATION_WARNING_MASS, schmidt_decompose
+
     jsa = _filtered_jsa(sc)
     decomp = schmidt_decompose(jsa, **{sc.truncation.kind: sc.truncation.value})
     if decomp.truncation_warning:
@@ -189,6 +157,9 @@ def _decomposition(sc: Scenario, warnings: list[str]):
 
 
 def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+    from .hom import fit_dip, scan
+    from .schmidt import purity, schmidt_number
+
     jsa, decomp = _decomposition(sc, warnings)
     state = _heralded_state(sc, decomp)
     delta_beta_l = sc.dispersion.beta_fs2_per_mm * (
@@ -231,12 +202,14 @@ def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]
 
 
 def _run_visibility_curve(sc: Scenario, out: Path, base: str, warnings: list[str]) -> list[str]:
+    from .hom import visibility_curve
+    from .schmidt import herald, postulate_pure_state
+
     beta = sc.dispersion.beta_fs2_per_mm
     deltas = sc.dispersion.delta_lengths_mm
     length_1 = sc.dispersion.length_1_mm
-    explicit_cfg = None
-    if sc.scan is not None:
-        explicit_cfg = ScanConfig(sc.scan.tau_min_fs, sc.scan.tau_max_fs, sc.scan.n_steps)
+    # Without a scan section, visibility_curve sizes each offset's window.
+    explicit_cfg = None if sc.scan is None else _scan_config(sc, 0.0)
     _, decomp = _decomposition(sc, warnings)
     mixed, pure = (
         visibility_curve(state, beta, length_1, deltas, explicit_cfg)
@@ -262,6 +235,10 @@ def _run_network_check(sc: Scenario, net: NetworkSpec, out: Path, base: str) -> 
 def _run_network_sim(
     sc: Scenario, net: NetworkSpec, out: Path, base: str, warnings: list[str]
 ) -> list[str]:
+    import numpy as np
+
+    from .spectral import gaussian_mode, make_grid
+
     cfg = sc.network
     grid = make_grid(
         cfg.grid.center_wavelength_nm,

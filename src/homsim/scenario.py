@@ -44,9 +44,9 @@ from typing import Literal
 
 import yaml
 
+from .constants import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 from .errors import ScenarioNotFoundError, ScenarioParseError
 from .network import MAX_PHOTONS
-from .source import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 
 
 # The sections are never compared or printed, so no __eq__ or __repr__ is

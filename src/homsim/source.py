@@ -3,10 +3,10 @@
 The joint spectral amplitude (JSA) is modeled as the product of a Gaussian
 pump envelope evaluated at the detuning sum and a type-II phase-matching
 function of the two detunings.  The crystal group-velocity-mismatch slopes
-are free model parameters: the defaults below are tuned so that the
-heralded-photon purity and the interference-dip width with 10 nm filters land
-on the experimentally reported values (see the preset scenario files, which
-record them explicitly).
+are free model parameters: the defaults (``constants.DEFAULT_GVM_*``) are
+tuned so that the heralded-photon purity and the interference-dip width with
+10 nm filters land on the experimentally reported values (see the preset
+scenario files, which record them explicitly).
 
 Every pump, phase-matching and filter model is real, so the JSA is a float64
 matrix; :class:`JointSpectralAmplitude` keeps complex128 only for a complex
@@ -38,17 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAUSSIAN_TIME_BANDWIDTH, SPEED_OF_LIGHT_NM_PER_FS, TWO_LN2
+from .constants import (
+    DEFAULT_GVM_IDLER,
+    DEFAULT_GVM_SIGNAL,
+    GAUSSIAN_TIME_BANDWIDTH,
+    SPEED_OF_LIGHT_NM_PER_FS,
+    TWO_LN2,
+    fwhm_wavelength_to_angular,
+)
 from .errors import DegenerateFilterError, InvalidArgumentError
-from .spectral import FrequencyGrid, fwhm_wavelength_to_angular
+from .spectral import FrequencyGrid
 
 # Gaussian approximation of the central sinc lobe: sinc(x) ~ exp(-GAMMA x^2).
 SINC_GAUSSIAN_GAMMA = 0.193
-
-# Tuned group-velocity-mismatch slopes (fs/mm) for the default 1 mm type-II
-# crystal; chosen to reproduce the reference dip metrics (see module docstring).
-DEFAULT_GVM_SIGNAL = 340.0
-DEFAULT_GVM_IDLER = 120.0
 
 
 @dataclass(frozen=True, eq=False, repr=False)

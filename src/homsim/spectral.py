@@ -14,20 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT_NM_PER_FS, TWO_LN2
+from .constants import TWO_LN2, fwhm_wavelength_to_angular
 from .errors import IncompatibleGridError, InvalidArgumentError
-
-
-def fwhm_wavelength_to_angular(delta_lambda: float, center_lambda: float) -> float:
-    """Convert a wavelength FWHM (nm) at ``center_lambda`` (nm) to rad/fs.
-
-    Uses the first-order relation d(omega) = 2*pi*c*d(lambda)/lambda^2.
-    """
-    if center_lambda <= 0:
-        raise InvalidArgumentError(f"center_lambda must be > 0, got {center_lambda}")
-    if delta_lambda < 0:
-        raise InvalidArgumentError(f"delta_lambda must be >= 0, got {delta_lambda}")
-    return 2.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS * delta_lambda / center_lambda**2
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -55,7 +55,7 @@ def oracle_transfer_terms(net):
         for out_idx in (0, 1):
             walk(
                 f"{node}.out{out_idx}",
-                coeff * complex(splitters[node].unitary[out_idx, in_idx]),
+                coeff * splitters[node].unitary[out_idx][in_idx],
                 acc,
                 source_id,
             )

@@ -253,8 +253,18 @@ def _splitter_check(unitary=None, wired=4):
     return {"name": "check", "mode": "network-check", "network": network}
 
 
+def _miswired(i, start, end):
+    """The splitter network-check with its edge ``i`` rewired."""
+    scenario = _splitter_check()
+    scenario["network"]["edges"][i] = {"start": start, "end": end}
+    return scenario
+
+
 # 0.707 is a rounded 1/sqrt(2); the splitter is not unitary to 1e-12.
 ROUNDED_UNITARY = [[[0.707, 0.0], [0.707, 0.0]], [[0.707, 0.0], [-0.707, 0.0]]]
+# 0.70711 is closer: its rows' norms are off by 9.1e-6, which a relative
+# tolerance of 1e-5 on the diagonal would let through.
+NEAR_UNITARY = [[[0.70711, 0.0], [0.70711, 0.0]], [[0.70711, 0.0], [-0.70711, 0.0]]]
 
 # Each case: the scenario and what its stderr line must contain ({file} is the
 # scenario file).
@@ -290,10 +300,47 @@ BAD_NETWORKS = {
     # network, which it does before it writes anything, whatever n_points is.
     "dangling-port": (
         _splitter_check(wired=3),
-        "configuration error: output 'A.out1' is not connected",
+        "configuration error: network.beam_splitters.0: output 'A.out1' is not connected",
+    ),
+    "unknown-endpoint": (
+        _miswired(1, "b", "A.inX"),
+        "configuration error: network.edges.1.end: unknown or non-input endpoint 'A.inX'",
+    ),
+    "repeated-endpoint": (
+        _miswired(1, "b", "A.in0"),
+        "configuration error: network.edges.1.end: input 'A.in0' wired more than once",
+    ),
+    "repeated-output": (
+        _miswired(3, "A.out0", "d2"),
+        "configuration error: network.edges.3.start: output 'A.out0' wired more than once",
+    ),
+    "cycle": (
+        {
+            "name": "cycle",
+            "mode": "network-check",
+            "network": {
+                "sources": [{"id": "a"}, {"id": "b"}],
+                "beam_splitters": [{"id": "A"}, {"id": "B"}],
+                "detectors": ["d1", "d2"],
+                "edges": [
+                    {"start": "a", "end": "A.in0"},
+                    {"start": "b", "end": "B.in0"},
+                    {"start": "A.out0", "end": "B.in1"},
+                    {"start": "B.out0", "end": "A.in1"},
+                    {"start": "A.out1", "end": "d1"},
+                    {"start": "B.out1", "end": "d2"},
+                ],
+            },
+        },
+        "configuration error: network.beam_splitters.0: network contains a cycle through 'A'",
     ),
     "rounded-unitary": (
         _splitter_check(unitary=ROUNDED_UNITARY),
+        "configuration error: network.beam_splitters.0.unitary: "
+        "beam splitter A: matrix is not unitary",
+    ),
+    "near-unitary": (
+        _splitter_check(unitary=NEAR_UNITARY),
         "configuration error: network.beam_splitters.0.unitary: "
         "beam splitter A: matrix is not unitary",
     ),
@@ -648,41 +695,89 @@ def test_cli_import_does_not_load(package):
 
 def test_cli_import_closure():
     # A cold `sim run` pays for every module `import homsim.cli` loads: only
-    # the stdlib, numpy, yaml and homsim itself, and not numpy.random (the
-    # Schmidt step's range finder imports it when it runs).
+    # the stdlib, yaml and homsim itself.  numpy is loaded by the modes that
+    # do array work, when they run, and `import homsim` loads no more.
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    allowed = set(sys.stdlib_module_names) | {"yaml", "homsim"}
+    for module in ("homsim", "homsim.cli"):
+        probe = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = proc.stdout.split()
+        # Cython-built extensions (libyaml's) register these two.
+        foreign = [
+            m
+            for m in loaded
+            if m.split(".")[0] not in allowed and not m.startswith(("_cython_", "cython_runtime"))
+        ]
+        assert foreign == [], module
+        assert module in loaded
+
+
+@pytest.mark.parametrize(
+    "preset", ["broadening-6m", "broadening-28m", "fig5-cond-i", "fig5-cond-ii"]
+)
+def test_array_free_presets_run_without_numpy(tmp_path, preset):
+    # The broadening closed form and the network audit do no array work; with
+    # numpy made unimportable the run must still write its outputs.
     src = str(Path(homsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
-        "import sys; before = set(sys.modules); import homsim.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "import sys; sys.modules['numpy'] = None; from homsim.cli import main; "
+        f"main(['run', '--preset', {preset!r}, '--out', {str(tmp_path)!r}])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = proc.stdout.split()
-    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "homsim"}
-    # Cython-built extensions (numpy's, libyaml's) register these two.
-    foreign = [
-        m
-        for m in loaded
-        if m.split(".")[0] not in allowed and not m.startswith(("_cython_", "cython_runtime"))
-    ]
-    assert foreign == []
-    assert "homsim.cli" in loaded
-    assert "numpy.random" not in loaded
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / f"{preset}_manifest.yaml").is_file()
+
+
+def test_public_names_resolve_to_their_home_modules():
+    homes = {
+        "hom": "ScanConfig coincidence_probability_oracle default_scan_config fit_dip scan",
+        "schmidt": "herald postulate_pure_state purity schmidt_decompose",
+        "source": "BandpassFilter PhaseMatching PumpSpectrum apply_filters build_jsa",
+        "spectral": "make_grid",
+    }
+    homes = {module: names.split() for module, names in homes.items()}
+    assert sorted(homsim.__all__) == sorted(name for names in homes.values() for name in names)
+    for module, names in homes.items():
+        home = __import__(f"homsim.{module}", fromlist=names)
+        for name in names:
+            namespace = {}
+            exec(f"from homsim import {name}", namespace)
+            assert namespace[name] is getattr(home, name)
+    with pytest.raises(ImportError):
+        exec("from homsim import SpectralFunction", {})
 
 
 def test_jsi_writer_matches_per_cell_format(tmp_path, monkeypatch):
-    from homsim import io
+    from homsim import io, source
     from homsim.source import JointSpectralAmplitude
     from homsim.spectral import make_grid
 
     special = [0.0, -0.0, 5e-324, 1e-300, 1.23456789e-5, 123456789.0, 0.1, 2.5e-308, 1e22]
-    values = np.resize(np.array(special), (8, 8))  # every row a different rotation
+    # The writer formats each row's band between its first and last cell that
+    # is not +0.0, so rows of zero runs, all zeros and -0.0 edges join in.
+    banded = np.zeros((6, 8))
+    banded[1, 3] = 0.25  # zero runs on both sides
+    banded[2, :5] = special[2:7]  # a trailing zero run
+    banded[3, 4:] = special[5:]  # a leading zero run
+    banded[4, [0, 7]] = -0.0, 5e-324  # -0.0 prints "-0", so it opens the band
+    banded[5] = -0.0
+    # Eight rows, each a different rotation of the special values, then the bands.
+    values = np.vstack([np.resize(np.array(special), (8, 8)), banded])
     grid = make_grid(780.0, 10.0, 4.0, 8)
     jsa = JointSpectralAmplitude(grid, grid, np.ones((8, 8)))
-    monkeypatch.setattr(io, "jsi", lambda _: values)
+    monkeypatch.setattr(source, "jsi", lambda _: values)
     io.write_jsi_csv(tmp_path / "jsi.csv", jsa)
     lines = (tmp_path / "jsi.csv").read_text(encoding="utf-8").split("\n")
     assert lines[2:] == [",".join(format(v, ".8g") for v in row) for row in values] + [""]
     assert lines[2].split(",")[:2] == ["0", "-0"]
+    assert lines[10] == ",".join(["0"] * 8)
+    assert lines[11] == "0,0,0,0.25,0,0,0,0"
+    assert lines[14] == "-0,0,0,0,0,0,0,4.9406565e-324"
