@@ -70,12 +70,12 @@ cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import FOUR_LN2
 from .errors import FitFailureError, InvalidArgumentError, NoDipError
+from .frozen import Frozen
 from .spectral import HeraldedState
 
 # Dip fit: iteration cap, and the largest scaled parameter step (B by |B|,
@@ -87,36 +87,33 @@ _FIT_LOWER = np.array([0.0, 0.0, -np.inf, 0.0])
 _FIT_UPPER = np.array([np.inf, 1.0, np.inf, np.inf])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ScanConfig:
+class ScanConfig(Frozen):
     """Uniform delay scan window (fs)."""
 
     tau_min: float
     tau_max: float
     n_steps: int
 
-    def __post_init__(self) -> None:
-        if self.tau_min >= self.tau_max:
-            raise InvalidArgumentError(
-                f"tau_min must be < tau_max, got [{self.tau_min}, {self.tau_max}]"
-            )
-        if self.n_steps < 3:
-            raise InvalidArgumentError(f"n_steps must be >= 3, got {self.n_steps}")
+    def __init__(self, tau_min: float, tau_max: float, n_steps: int) -> None:
+        if tau_min >= tau_max:
+            raise InvalidArgumentError(f"tau_min must be < tau_max, got [{tau_min}, {tau_max}]")
+        if n_steps < 3:
+            raise InvalidArgumentError(f"n_steps must be >= 3, got {n_steps}")
+        self.__dict__.update(tau_min=tau_min, tau_max=tau_max, n_steps=n_steps)
 
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_min, self.tau_max, self.n_steps)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class InterferenceScan:
+class InterferenceScan(Frozen):
     """Coincidence probability samples over delay."""
 
     taus: np.ndarray
     probabilities: np.ndarray
 
-    def __post_init__(self) -> None:
-        taus = np.asarray(self.taus, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, taus: np.ndarray, probabilities: np.ndarray) -> None:
+        taus = np.asarray(taus, dtype=float)
+        probs = np.asarray(probabilities, dtype=float)
         if taus.shape != probs.shape:
             raise InvalidArgumentError("taus and probabilities must match in length")
         if not np.all(np.isfinite(taus)):
@@ -128,12 +125,10 @@ class InterferenceScan:
             )
         taus.setflags(write=False)
         probs.setflags(write=False)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "probabilities", probs)
+        self.__dict__.update(taus=taus, probabilities=probs)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DipMetrics:
+class DipMetrics(Frozen):
     """Gaussian-fit parameters of an interference dip.
 
     ``visibility`` is the fitted fractional dip depth, ``fwhm`` the fitted
@@ -150,13 +145,27 @@ class DipMetrics:
     raw_visibility: float
     center_fs: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise InvalidArgumentError(
-                f"visibility must lie in [0, 1], got {self.visibility}"
-            )
-        if self.fwhm <= 0:
-            raise InvalidArgumentError(f"fwhm must be > 0, got {self.fwhm}")
+    def __init__(
+        self,
+        visibility: float,
+        fwhm: float,
+        baseline: float,
+        fit_residual: float,
+        raw_visibility: float,
+        center_fs: float,
+    ) -> None:
+        if not 0.0 <= visibility <= 1.0:
+            raise InvalidArgumentError(f"visibility must lie in [0, 1], got {visibility}")
+        if fwhm <= 0:
+            raise InvalidArgumentError(f"fwhm must be > 0, got {fwhm}")
+        self.__dict__.update(
+            visibility=visibility,
+            fwhm=fwhm,
+            baseline=baseline,
+            fit_residual=fit_residual,
+            raw_visibility=raw_visibility,
+            center_fs=center_fs,
+        )
 
 
 def _smooth_length(n: int) -> int:

@@ -53,11 +53,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError, InvalidNetworkError, UnsupportedNetworkError
+from .frozen import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,16 +70,17 @@ _HALF = complex(1.0 / math.sqrt(2.0))
 SPLITTER_50_50 = ((_HALF, _HALF), (_HALF, -_HALF))  # default unitary (real 50/50)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SourceNode:
+class SourceNode(Frozen):
     """Single-photon source; ``delay`` (fs) shifts its photon's arrival."""
 
     id: str
-    delay: float = 0.0
+    delay: float
+
+    def __init__(self, id: str, delay: float = 0.0) -> None:
+        self.__dict__.update(id=id, delay=delay)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BeamSplitterNode:
+class BeamSplitterNode(Frozen):
     """2x2 lossless node; ports are ``<id>.in0/.in1`` and ``<id>.out0/.out1``.
 
     ``unitary[out][in]`` is stored as a 2x2 tuple of ``complex``; every entry
@@ -87,28 +88,29 @@ class BeamSplitterNode:
     """
 
     id: str
-    unitary: tuple[tuple[complex, ...], ...] = SPLITTER_50_50
+    unitary: tuple[tuple[complex, ...], ...]
 
-    def __post_init__(self) -> None:
-        u = tuple(tuple(map(complex, row)) for row in self.unitary)
+    def __init__(self, id: str, unitary: Sequence[Sequence[complex]] = SPLITTER_50_50) -> None:
+        u = tuple(tuple(map(complex, row)) for row in unitary)
         if tuple(map(len, u)) != (2, 2):
-            raise InvalidArgumentError(f"beam splitter {self.id}: unitary must be 2x2")
+            raise InvalidArgumentError(f"beam splitter {id}: unitary must be 2x2")
         for i, j in itertools.product((0, 1), repeat=2):
             entry = u[i][0] * u[j][0].conjugate() + u[i][1] * u[j][1].conjugate()
             if not abs(entry - float(i == j)) <= 1e-12:  # NaN fails too
-                raise InvalidArgumentError(f"beam splitter {self.id}: matrix is not unitary")
-        object.__setattr__(self, "unitary", u)
+                raise InvalidArgumentError(f"beam splitter {id}: matrix is not unitary")
+        self.__dict__.update(id=id, unitary=u)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class DetectorNode:
+class DetectorNode(Frozen):
     """Photon counter at the end of a path."""
 
     id: str
 
+    def __init__(self, id: str) -> None:
+        self.__dict__.update(id=id)
 
-@dataclass(frozen=True, eq=False, repr=False)
-class NetworkEdge:
+
+class NetworkEdge(Frozen):
     """Directed connection between two ports, optionally dispersive.
 
     ``start`` is a source id or ``<bs>.out0/.out1``; ``end`` is a detector id
@@ -118,21 +120,27 @@ class NetworkEdge:
 
     start: str
     end: str
-    beta_l: float = 0.0
+    beta_l: float
+
+    def __init__(self, start: str, end: str, beta_l: float = 0.0) -> None:
+        self.__dict__.update(start=start, end=end, beta_l=beta_l)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PathDispersion:
+class PathDispersion(Frozen):
     """Accumulated beta*L (fs^2) along one source -> beam-splitter path."""
 
     source: str
     beam_splitter: str
     beta_l: float
-    via: tuple[str, ...] = ()
+    via: tuple[str, ...]
+
+    def __init__(
+        self, source: str, beam_splitter: str, beta_l: float, via: tuple[str, ...] = ()
+    ) -> None:
+        self.__dict__.update(source=source, beam_splitter=beam_splitter, beta_l=beta_l, via=via)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CancellationReport:
+class CancellationReport(Frozen):
     """Outcome of :func:`check_cancellation`: each violation is a pair of
     paths into the same beam splitter whose beta*L differ by more than
     ``tolerance`` (fs^2)."""
@@ -140,6 +148,14 @@ class CancellationReport:
     satisfied: bool
     violations: tuple[tuple[PathDispersion, PathDispersion], ...]
     tolerance: float
+
+    def __init__(
+        self,
+        satisfied: bool,
+        violations: tuple[tuple[PathDispersion, PathDispersion], ...],
+        tolerance: float,
+    ) -> None:
+        self.__dict__.update(satisfied=satisfied, violations=violations, tolerance=tolerance)
 
     def to_json_dict(self) -> dict:
         return {

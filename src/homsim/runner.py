@@ -12,7 +12,6 @@ The two-photon modes import the array pipelines (``source``, ``schmidt``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -32,23 +31,29 @@ from .network import (
     detector_dispersion_spread,
     outcome_probabilities,
 )
-from .scenario import NetworkConfig, Scenario, dump
+from .scenario import NetworkConfig, Scenario, dump, replace
 
 NETWORK_MIN_POINTS = 48
 # Numerical-health threshold on |sum of network outcome probabilities - 1|.
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(eq=False, repr=False)
 class RunResult:
     """What a run wrote: the resolved scenario, the output directory, the
     file names and the numerical-health warnings."""
 
-    scenario: Scenario
-    out_dir: Path
-    files: list[str]
-    # Numerical-health warnings; the CLI prints each one as a stderr line.
-    warnings: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        scenario: Scenario,
+        out_dir: Path,
+        files: list[str],
+        warnings: list[str] | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.out_dir = out_dir
+        self.files = files
+        # Numerical-health warnings; the CLI prints each one as a stderr line.
+        self.warnings = [] if warnings is None else warnings
 
 
 def _heralded_state(sc: Scenario, jsa_decomp):

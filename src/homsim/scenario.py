@@ -1,9 +1,9 @@
 """Declarative scenario files: schema, strict parsing, and named presets.
 
-Scenarios are YAML (JSON works too).  The schema is the dataclasses below;
-``scenario_from_dict`` walks the raw mapping against their fields and
-materializes every physics default, so that the run manifest alone
-reproduces a figure.  The loader is strict:
+Scenarios are YAML (JSON works too).  The schema is the section classes
+below, one annotated field per key; ``scenario_from_dict`` walks the raw
+mapping against their fields and materializes every physics default, so
+that the run manifest alone reproduces a figure.  The loader is strict:
 
 - a key the schema does not name is rejected;
 - a float field takes a finite int or float (an int is stored as a float,
@@ -13,7 +13,7 @@ reproduces a figure.  The loader is strict:
 - a string field takes a string and a boolean field ``true``/``false``;
 - a choice field (``mode``, ``shape``, ``truncation.kind``, ...) takes one of
   its listed strings;
-- the ``gt``/``ge`` bounds in a field's metadata are checked;
+- the ``gt``/``ge`` bounds a field declares are checked;
 - a field without a default is required;
 - after its fields, a section checks its cross-field rules (differing
   signal and idler GVM slopes, the dispersion forms of a network edge, a
@@ -29,15 +29,16 @@ dotted key path with list indices, e.g. ``network.edges.1.length_mm``; a
 cross-field rule is reported at the key it faults (``truncation.value``) or
 at its section, and a rule of the whole scenario without a path.
 
-The sections are frozen: a run resolves its defaults into a new scenario
-with ``dataclasses.replace``, and ``dump`` gives the plain form written to
-the run manifest.
+The sections are immutable: a run resolves its defaults into a new scenario
+with ``replace``, and ``dump`` gives the plain form written to the run
+manifest.  A section class declares its fields as annotations with an
+optional default; :class:`_Section` reads them once, when the class is
+created, and every section is built through one keyword-only ``__init__``,
+so no code is generated per class.
 """
 
-import dataclasses
 import sys
 import typing
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Literal
@@ -46,29 +47,73 @@ import yaml
 
 from .constants import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
 from .errors import ScenarioNotFoundError, ScenarioParseError
+from .frozen import Frozen
 from .network import MAX_PHOTONS
 
-
-# The sections are never compared or printed, so no __eq__ or __repr__ is
-# generated (each generated method costs import time).
-_section = dataclass(frozen=True, kw_only=True, eq=False, repr=False)
+_REQUIRED = object()  # the default of a field without one
 
 
-def _bounded(default=dataclasses.MISSING, **bound):
+class _Bounded:
+    """A field's default together with its ``gt`` or ``ge`` bound."""
+
+    def __init__(self, default, bound: dict):
+        self.default, self.bound = default, bound
+
+
+def _bounded(default=_REQUIRED, **bound):
     """A field with a ``gt`` or ``ge`` bound, required when no default is given."""
-    return field(default=default, metadata=bound)
+    return _Bounded(default, bound)
 
 
-@_section
-class PumpConfig:
+class _Section(Frozen):
+    """Base of the scenario sections.
+
+    ``_fields`` holds ``(name, type, default, bound)`` for each annotated
+    field, in declaration order; a section is built with keyword arguments
+    only, and an omitted field takes its default.  Sections are never
+    compared or printed, so they compare by identity.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = []
+        for name, tp in cls.__dict__.get("__annotations__", {}).items():
+            default = cls.__dict__.get(name, _REQUIRED)
+            bound = {}
+            if isinstance(default, _Bounded):
+                default, bound = default.default, default.bound
+            if name in cls.__dict__:
+                delattr(cls, name)  # the default lives in _fields
+            fields.append((name, tp, default, bound))
+        cls._fields = tuple(fields)
+
+    def __init__(self, **values) -> None:
+        for name, _, default, _ in self._fields:
+            value = values.pop(name, default)
+            if value is _REQUIRED:
+                raise TypeError(f"{type(self).__name__}() missing keyword argument {name!r}")
+            self.__dict__[name] = value
+        if values:
+            raise TypeError(
+                f"{type(self).__name__}() got an unexpected keyword argument "
+                f"{next(iter(values))!r}"
+            )
+
+
+def replace(section: _Section, **changes) -> _Section:
+    """A copy of ``section`` with the given fields changed."""
+    return type(section)(**{**section.__dict__, **changes})
+
+
+class PumpConfig(_Section):
     """Pump pulse: centre wavelength (nm) and intensity FWHM duration (fs)."""
 
     center_wavelength_nm: float = _bounded(390.0, gt=0)
     pulse_duration_fwhm_fs: float = _bounded(140.0, gt=0)
 
 
-@_section
-class PhaseMatchingConfig:
+class PhaseMatchingConfig(_Section):
     """Crystal length (mm), phase-matching model and mismatch slopes (fs/mm)."""
 
     crystal_length_mm: float = _bounded(1.0, gt=0)
@@ -86,8 +131,7 @@ class PhaseMatchingConfig:
         return None
 
 
-@_section
-class GridConfig:
+class GridConfig(_Section):
     """Detuning grid of both photons (see ``spectral.make_grid``)."""
 
     n_points: int = _bounded(512, ge=8)
@@ -95,17 +139,15 @@ class GridConfig:
     reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-@_section
-class SourceConfig:
+class SourceConfig(_Section):
     """The down-conversion source: pump, phase matching and grid."""
 
-    pump: PumpConfig = field(default_factory=PumpConfig)
-    phase_matching: PhaseMatchingConfig = field(default_factory=PhaseMatchingConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
+    pump: PumpConfig = PumpConfig()
+    phase_matching: PhaseMatchingConfig = PhaseMatchingConfig()
+    grid: GridConfig = GridConfig()
 
 
-@_section
-class FilterConfig:
+class FilterConfig(_Section):
     """One bandpass filter (nm)."""
 
     center_wavelength_nm: float = _bounded(780.0, gt=0)
@@ -113,16 +155,14 @@ class FilterConfig:
     shape: Literal["gaussian", "flattop"] = "gaussian"
 
 
-@_section
-class FiltersConfig:
+class FiltersConfig(_Section):
     """Signal and idler filters; an absent one leaves its arm unfiltered."""
 
     signal: FilterConfig | None = None
     idler: FilterConfig | None = None
 
 
-@_section
-class DispersionConfig:
+class DispersionConfig(_Section):
     """Fiber GVD (fs^2/mm) and the two arm lengths (mm), or a curve's offsets."""
 
     beta_fs2_per_mm: float = 37.802
@@ -140,8 +180,7 @@ class DispersionConfig:
         return None
 
 
-@_section
-class TruncationConfig:
+class TruncationConfig(_Section):
     """Schmidt truncation rule: a kept mass, rank or eigenvalue threshold."""
 
     kind: Literal["mass", "rank", "threshold"] = "mass"
@@ -158,8 +197,7 @@ class TruncationConfig:
         return None
 
 
-@_section
-class ScanSettings:
+class ScanSettings(_Section):
     """Explicit delay-scan window (fs) and sample count."""
 
     tau_min_fs: float = -3000.0
@@ -175,16 +213,14 @@ class ScanSettings:
         return None
 
 
-@_section
-class NetworkSourceConfig:
+class NetworkSourceConfig(_Section):
     """A network photon source and its delay (fs)."""
 
     id: str
     delay_fs: float = 0.0
 
 
-@_section
-class NetworkSplitterConfig:
+class NetworkSplitterConfig(_Section):
     """A 2x2 beam splitter, 50/50 unless a unitary is given."""
 
     id: str
@@ -198,8 +234,7 @@ class NetworkSplitterConfig:
         return None
 
 
-@_section
-class NetworkEdgeConfig:
+class NetworkEdgeConfig(_Section):
     """A wire between two ports, with beta+length or beta_l_fs2 dispersion."""
 
     start: str
@@ -217,8 +252,7 @@ class NetworkEdgeConfig:
         return None
 
 
-@_section
-class NetworkGridConfig:
+class NetworkGridConfig(_Section):
     """Detuning grid of the network photons."""
 
     center_wavelength_nm: float = _bounded(780.0, gt=0)
@@ -228,8 +262,7 @@ class NetworkGridConfig:
     reference_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
 
 
-@_section
-class DelayScanConfig:
+class DelayScanConfig(_Section):
     """Delay scan of one network source (fs)."""
 
     source: str
@@ -238,15 +271,14 @@ class DelayScanConfig:
     n_steps: int = _bounded(5, ge=2)
 
 
-@_section
-class NetworkConfig:
+class NetworkConfig(_Section):
     """Nodes, edges, grid and photon bandwidth of a network scenario."""
 
     sources: list[NetworkSourceConfig]
     beam_splitters: list[NetworkSplitterConfig]
     detectors: list[str]
     edges: list[NetworkEdgeConfig]
-    grid: NetworkGridConfig = field(default_factory=NetworkGridConfig)
+    grid: NetworkGridConfig = NetworkGridConfig()
     photon_bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
     tolerance_fs2: float = _bounded(1e-6, gt=0)
     delay_scan: DelayScanConfig | None = None
@@ -261,8 +293,7 @@ class NetworkConfig:
         return None
 
 
-@_section
-class BroadeningConfig:
+class BroadeningConfig(_Section):
     """Gaussian pulse-broadening table over fiber lengths (mm)."""
 
     bandwidth_fwhm_nm: float = _bounded(10.0, gt=0)
@@ -272,8 +303,7 @@ class BroadeningConfig:
     input_duration_fs: float | None = _bounded(None, gt=0)
 
 
-@_section
-class OutputConfig:
+class OutputConfig(_Section):
     """Output directory, file basename and optional extra files."""
 
     directory: str = "."
@@ -292,21 +322,20 @@ Mode = Literal[
 ]
 
 
-@_section
-class Scenario:
+class Scenario(_Section):
     """One simulation run: its mode and every section it reads."""
 
     name: str
     mode: Mode
-    source: SourceConfig = field(default_factory=SourceConfig)
-    filters: FiltersConfig = field(default_factory=FiltersConfig)
-    dispersion: DispersionConfig = field(default_factory=DispersionConfig)
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
+    source: SourceConfig = SourceConfig()
+    filters: FiltersConfig = FiltersConfig()
+    dispersion: DispersionConfig = DispersionConfig()
+    truncation: TruncationConfig = TruncationConfig()
     purity_mode: Literal["mixed", "postulated-pure"] = "mixed"
     scan: ScanSettings | None = None
     network: NetworkConfig | None = None
     broadening: BroadeningConfig | None = None
-    output: OutputConfig = field(default_factory=OutputConfig)
+    output: OutputConfig = OutputConfig()
 
     def rule_violation(self) -> tuple[tuple, str] | None:
         if self.mode in ("network-check", "network-sim") and self.network is None:
@@ -345,7 +374,7 @@ def _load(tp, value, path: tuple, errors: list[tuple]):
             kind = "a string" if tp is str else "true or false"
             errors.append((path, f"must be {kind}, got {value!r}"))
         return value
-    if dataclasses.is_dataclass(tp):
+    if isinstance(tp, type) and issubclass(tp, _Section):
         return _load_section(tp, value, path, errors)
     origin = typing.get_origin(tp)
     if origin is Literal:
@@ -367,11 +396,11 @@ def _load(tp, value, path: tuple, errors: list[tuple]):
     return _load(tp, value, path, errors)
 
 
-def _bound_violation(value, metadata) -> str | None:
-    if "gt" in metadata and not value > metadata["gt"]:
-        return f"must be > {metadata['gt']}, got {value!r}"
-    if "ge" in metadata and not value >= metadata["ge"]:
-        return f"must be >= {metadata['ge']}, got {value!r}"
+def _bound_violation(value, bound) -> str | None:
+    if "gt" in bound and not value > bound["gt"]:
+        return f"must be > {bound['gt']}, got {value!r}"
+    if "ge" in bound and not value >= bound["ge"]:
+        return f"must be >= {bound['ge']}, got {value!r}"
     return None
 
 
@@ -379,22 +408,21 @@ def _load_section(cls, data, path: tuple, errors: list[tuple]):
     if not isinstance(data, dict):
         errors.append((path, f"must be a mapping, got {data!r}"))
         return None
-    fields = dataclasses.fields(cls)
     n_errors = len(errors)
     values = {}
-    for f in fields:
-        key = path + (f.name,)
-        if f.name not in data:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+    for name, tp, default, bound in cls._fields:
+        key = path + (name,)
+        if name not in data:
+            if default is _REQUIRED:
                 errors.append((key, "required"))
             continue
         before = len(errors)
-        values[f.name] = value = _load(f.type, data[f.name], key, errors)
+        values[name] = value = _load(tp, data[name], key, errors)
         if len(errors) == before and value is not None:
-            problem = _bound_violation(value, f.metadata)
+            problem = _bound_violation(value, bound)
             if problem is not None:
                 errors.append((key, problem))
-    names = {f.name for f in fields}
+    names = {name for name, *_ in cls._fields}
     errors.extend((path + (key,), "unknown key") for key in data if key not in names)
     if len(errors) > n_errors:
         return None
@@ -410,8 +438,8 @@ def dump(value):
     """A ``Scenario`` (or any section of one) as plain dicts, lists and
     scalars: the form written to the run manifest and read back by
     ``scenario_from_dict``."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: dump(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, _Section):
+        return {name: dump(value.__dict__[name]) for name, *_ in value._fields}
     if isinstance(value, list):
         return [dump(v) for v in value]
     return value

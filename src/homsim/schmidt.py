@@ -11,10 +11,9 @@ Only the few leading modes are ever kept, so the decomposition uses the
 randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
 2011; arXiv:0909.4061) instead of a full SVD:
 
-* A Gaussian test block of k columns, drawn from a generator with a fixed
-  seed on every call, is multiplied by A; one power iteration, with
-  re-orthonormalisation by QR after each product, gives an orthonormal
-  basis Q of the dominant range.  The SVD of the small k x N projection
+* A Gaussian test block of k columns is multiplied by A; one power
+  iteration, with re-orthonormalisation by QR after each product, gives an
+  orthonormal basis Q of the dominant range.  The SVD of the small k x N projection
   Q^H A then yields the leading singular triplets.
 * The block starts at 16 columns and doubles, capped at min(N_s, N_i),
   until the truncation rule is decided within the first k - 8 eigenvalues
@@ -28,8 +27,14 @@ randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
   singular values.
 * The discarded mass is exact: 1 - sum(kept eigenvalues) / ||A||_F^2.
 
-The fixed seed makes the result a deterministic function of the JSA, so
-re-running a manifest reproduces its outputs byte for byte.
+The test block is a function of its shape alone, so the result is a
+deterministic function of the JSA and re-running a manifest reproduces its
+outputs byte for byte.  The block comes from a counter-based generator
+(splitmix64 and Box-Muller, :func:`_test_block`) written out in numpy's
+wrapping uint64 arithmetic, not from ``numpy.random``: numpy promises no
+stream of its ``Generator`` methods across versions, so those draws, and
+with them the last bits of the modes, could change with the numpy version.
+A cold run also skips importing ``numpy.random``.
 
 Singular vectors are defined only up to a phase per signal/idler pair, so
 :func:`fix_gauge` applies a convention that rounding cannot change: each
@@ -46,11 +51,11 @@ eigenvalues are broken by the first moment of the signal-mode intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidArgumentError
+from .frozen import Frozen
 from .source import JointSpectralAmplitude
 from .spectral import FrequencyGrid, HeraldedState
 
@@ -76,8 +81,7 @@ _SEED = 20110909
 _PIVOT_RTOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(Frozen):
     """Truncated Schmidt spectrum with orthonormal signal/idler modes.
 
     Row n of the read-only complex matrices ``signal_modes`` (R, N_s) and
@@ -93,22 +97,41 @@ class SchmidtDecomposition:
     idler_modes: np.ndarray
     grid_signal: FrequencyGrid
     grid_idler: FrequencyGrid
-    tail_mass: float = 0.0
-    truncation_warning: bool = False
+    tail_mass: float
+    truncation_warning: bool
 
-    def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=float)
+    def __init__(
+        self,
+        eigenvalues: np.ndarray,
+        signal_modes: np.ndarray,
+        idler_modes: np.ndarray,
+        grid_signal: FrequencyGrid,
+        grid_idler: FrequencyGrid,
+        tail_mass: float = 0.0,
+        truncation_warning: bool = False,
+    ) -> None:
+        ev = np.asarray(eigenvalues, dtype=float)
         ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        for name, grid in (("signal_modes", self.grid_signal), ("idler_modes", self.grid_idler)):
-            modes = np.ascontiguousarray(getattr(self, name), dtype=complex)
+        fields = {"eigenvalues": ev}
+        for name, modes, grid in (
+            ("signal_modes", signal_modes, grid_signal),
+            ("idler_modes", idler_modes, grid_idler),
+        ):
+            modes = np.ascontiguousarray(modes, dtype=complex)
             if modes.shape != (len(ev), grid.n_points):
                 raise InvalidArgumentError(
                     f"{name} shape {modes.shape} does not match {len(ev)} eigenvalues "
                     f"on a grid of {grid.n_points} points"
                 )
             modes.setflags(write=False)
-            object.__setattr__(self, name, modes)
+            fields[name] = modes
+        self.__dict__.update(
+            fields,
+            grid_signal=grid_signal,
+            grid_idler=grid_idler,
+            tail_mass=tail_mass,
+            truncation_warning=truncation_warning,
+        )
 
     @property
     def rank(self) -> int:
@@ -132,8 +155,9 @@ def schmidt_decompose(
     if len(chosen) > 1:
         raise InvalidArgumentError(f"conflicting truncation rules: {chosen}")
     if rank is not None:
-        if rank < 1:
-            raise InvalidArgumentError(f"truncation rank must be >= 1, got {rank}")
+        # The loader's rule for truncation.value: an integral number >= 1.
+        if isinstance(rank, bool) or not (rank >= 1 and rank % 1 == 0):
+            raise InvalidArgumentError(f"truncation rank must be an integer >= 1, got {rank!r}")
         rank = int(rank)
     if rank is None and threshold is None:
         mass = DEFAULT_MASS if mass is None else float(mass)
@@ -188,20 +212,49 @@ def _truncated_svd(
     """Leading k singular triplets of ``a`` from the SVD of Q^H a.
 
     Q is the QR basis of ``a`` itself when ``exact`` (k = min(a.shape), so
-    Q spans the whole range), and otherwise the range finder's basis: a
-    fixed-seed Gaussian block with one power iteration, re-orthonormalised
-    by QR after every product.  a^H Q is formed as (Q^H a)^H, so that ``a``
-    itself is never conjugated or copied.
+    Q spans the whole range), and otherwise the range finder's basis: the
+    Gaussian block of :func:`_test_block` with one power iteration,
+    re-orthonormalised by QR after every product.  a^H Q is formed as
+    (Q^H a)^H, so that ``a`` itself is never conjugated or copied.
     """
     if exact:
         q = np.linalg.qr(a)[0]
     else:
-        omega = np.random.default_rng(_SEED).standard_normal((a.shape[1], k))
-        q = np.linalg.qr(a @ omega)[0]
+        q = np.linalg.qr(a @ _test_block(a.shape[1], k))[0]
         q = np.linalg.qr((q.conj().T @ a).conj().T)[0]
         q = np.linalg.qr(a @ q)[0]
     ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
     return q @ ub, s, vh
+
+
+def _test_block(n: int, k: int) -> np.ndarray:
+    """The n x k Gaussian test block: standard normals from a counter-based
+    generator, a function of (n, k) alone.
+
+    Uniform i = 0, 1, ... is the i-th output of splitmix64 seeded with
+    ``_SEED`` (Steele, Lea & Flood, OOPSLA 2014, with the finaliser of
+    Vigna's reference code), computed from i alone in wrapping uint64
+    arithmetic: z = _SEED + (i + 1) * 0x9E3779B97F4A7C15, three
+    xor-shift/multiply rounds, and u_i = ((z >> 11) + 1) / 2^53 in (0, 1].
+    Each pair (u_2j, u_2j+1) gives the normals
+    sqrt(-2 ln u_2j) (cos, sin)(2 pi u_2j+1) of the Box-Muller transform,
+    which fill the block row by row.
+    """
+    m = n * k
+    z = np.arange(1, m + (m & 1) + 1, dtype=np.uint64)  # an even count
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(_SEED)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(float)
+    u *= 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * math.pi * u[1::2]
+    pairs = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return pairs.reshape(-1)[:m].reshape(n, k)
 
 
 def _kept_count(

@@ -34,7 +34,6 @@ never touches the caller's array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,32 +46,38 @@ from .constants import (
     fwhm_wavelength_to_angular,
 )
 from .errors import DegenerateFilterError, InvalidArgumentError
+from .frozen import Frozen
 from .spectral import FrequencyGrid
 
 # Gaussian approximation of the central sinc lobe: sinc(x) ~ exp(-GAMMA x^2).
 SINC_GAUSSIAN_GAMMA = 0.193
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PumpSpectrum:
+class PumpSpectrum(Frozen):
     """Transform-limited Gaussian pump pulse.
 
     ``pulse_duration_fwhm`` is the intensity FWHM in fs; the spectral
     intensity FWHM follows from the 0.441 Gaussian time-bandwidth product.
     """
 
-    center_wavelength: float = 390.0
-    pulse_duration_fwhm: float = 140.0
+    center_wavelength: float
+    pulse_duration_fwhm: float
 
-    def __post_init__(self) -> None:
-        if self.pulse_duration_fwhm <= 0:
+    def __init__(
+        self, center_wavelength: float = 390.0, pulse_duration_fwhm: float = 140.0
+    ) -> None:
+        # Written ``not x > 0`` so that NaN fails too, here and below.
+        if not pulse_duration_fwhm > 0:
             raise InvalidArgumentError(
-                f"pulse_duration_fwhm must be > 0, got {self.pulse_duration_fwhm}"
+                f"pulse_duration_fwhm must be > 0, got {pulse_duration_fwhm}"
             )
-        if self.center_wavelength <= 0:
+        if not center_wavelength > 0:
             raise InvalidArgumentError(
-                f"center_wavelength must be > 0, got {self.center_wavelength}"
+                f"center_wavelength must be > 0, got {center_wavelength}"
             )
+        self.__dict__.update(
+            center_wavelength=center_wavelength, pulse_duration_fwhm=pulse_duration_fwhm
+        )
 
     @property
     def angular_fwhm(self) -> float:
@@ -80,8 +85,7 @@ class PumpSpectrum:
         return 2.0 * math.pi * GAUSSIAN_TIME_BANDWIDTH / self.pulse_duration_fwhm
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PhaseMatching:
+class PhaseMatching(Frozen):
     """Type-II phase-matching model, first order in the detunings.
 
     The argument of the matching function is
@@ -90,41 +94,50 @@ class PhaseMatching:
     exact sinc(x) or its Gaussian approximation exp(-0.193 x^2).
     """
 
-    crystal_length: float = 1.0
-    model: str = "gaussian-approx"
-    gvm_signal: float = DEFAULT_GVM_SIGNAL
-    gvm_idler: float = DEFAULT_GVM_IDLER
+    crystal_length: float
+    model: str
+    gvm_signal: float
+    gvm_idler: float
 
-    def __post_init__(self) -> None:
-        if self.crystal_length <= 0:
+    def __init__(
+        self,
+        crystal_length: float = 1.0,
+        model: str = "gaussian-approx",
+        gvm_signal: float = DEFAULT_GVM_SIGNAL,
+        gvm_idler: float = DEFAULT_GVM_IDLER,
+    ) -> None:
+        if not crystal_length > 0:
             raise InvalidArgumentError(
-                f"crystal_length must be > 0, got {self.crystal_length}"
+                f"crystal_length must be > 0, got {crystal_length}"
             )
-        if self.model not in ("sinc", "gaussian-approx"):
-            raise InvalidArgumentError(f"unknown phase-matching model {self.model!r}")
-        if self.gvm_signal == self.gvm_idler:
+        if model not in ("sinc", "gaussian-approx"):
+            raise InvalidArgumentError(f"unknown phase-matching model {model!r}")
+        if gvm_signal == gvm_idler:
             raise InvalidArgumentError(
                 "gvm_signal and gvm_idler must differ (type-II asymmetry)"
             )
+        self.__dict__.update(
+            crystal_length=crystal_length, model=model, gvm_signal=gvm_signal, gvm_idler=gvm_idler
+        )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BandpassFilter:
+class BandpassFilter(Frozen):
     """Bandpass filter described by its intensity transmission profile."""
 
     center_wavelength: float
     fwhm: float
-    shape: str = "gaussian"
+    shape: str
 
-    def __post_init__(self) -> None:
-        if self.fwhm <= 0:
-            raise InvalidArgumentError(f"filter fwhm must be > 0, got {self.fwhm}")
-        if self.center_wavelength <= 0:
+    def __init__(self, center_wavelength: float, fwhm: float, shape: str = "gaussian") -> None:
+        if not fwhm > 0:
+            raise InvalidArgumentError(f"filter fwhm must be > 0, got {fwhm}")
+        if not center_wavelength > 0:
             raise InvalidArgumentError(
-                f"filter center_wavelength must be > 0, got {self.center_wavelength}"
+                f"filter center_wavelength must be > 0, got {center_wavelength}"
             )
-        if self.shape not in ("gaussian", "flattop"):
-            raise InvalidArgumentError(f"unknown filter shape {self.shape!r}")
+        if shape not in ("gaussian", "flattop"):
+            raise InvalidArgumentError(f"unknown filter shape {shape!r}")
+        self.__dict__.update(center_wavelength=center_wavelength, fwhm=fwhm, shape=shape)
 
     def amplitude_transmission(self, grid: FrequencyGrid) -> np.ndarray:
         """sqrt(T) sampled on ``grid`` (detunings relative to the grid carrier)."""
@@ -142,8 +155,7 @@ class BandpassFilter:
         return np.where(np.abs(x) <= width / 2.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class JointSpectralAmplitude:
+class JointSpectralAmplitude(Frozen):
     """Signal x idler amplitude matrix, L2-normalized on construction.
 
     ``amplitudes[k, l]`` is the amplitude at signal detuning k, idler
@@ -158,13 +170,14 @@ class JointSpectralAmplitude:
     grid_idler: FrequencyGrid
     amplitudes: np.ndarray
 
-    def __post_init__(self) -> None:
-        amp = self.amplitudes
-        amp = np.asarray(amp, dtype=complex if np.iscomplexobj(amp) else float)
-        scale = _inverse_norm(amp, self.grid_signal, self.grid_idler)
+    def __init__(
+        self, grid_signal: FrequencyGrid, grid_idler: FrequencyGrid, amplitudes: np.ndarray
+    ) -> None:
+        amp = np.asarray(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
+        scale = _inverse_norm(amp, grid_signal, grid_idler)
         amp = amp * scale  # a new array: the caller's is never touched
         amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        self.__dict__.update(grid_signal=grid_signal, grid_idler=grid_idler, amplitudes=amp)
 
     @property
     def norm(self) -> float:
@@ -180,9 +193,7 @@ def _owning_jsa(
     amp *= _inverse_norm(amp, grid_signal, grid_idler)
     amp.setflags(write=False)
     jsa = object.__new__(JointSpectralAmplitude)
-    object.__setattr__(jsa, "grid_signal", grid_signal)
-    object.__setattr__(jsa, "grid_idler", grid_idler)
-    object.__setattr__(jsa, "amplitudes", amp)
+    jsa.__dict__.update(grid_signal=grid_signal, grid_idler=grid_idler, amplitudes=amp)
     return jsa
 
 
@@ -190,12 +201,12 @@ def _inverse_norm(
     amp: np.ndarray, grid_signal: FrequencyGrid, grid_idler: FrequencyGrid
 ) -> float:
     """1/norm of an amplitude matrix on the grids, after checking its shape
-    and that its norm is not zero."""
+    and that its norm is neither zero nor NaN."""
     expected = (grid_signal.n_points, grid_idler.n_points)
     if amp.shape != expected:
         raise InvalidArgumentError(f"amplitude matrix shape {amp.shape}, expected {expected}")
     norm = _norm(amp, grid_signal, grid_idler)
-    if norm < 1e-15:
+    if not norm >= 1e-15:
         raise InvalidArgumentError("joint spectral amplitude has zero norm")
     return 1.0 / norm
 

@@ -10,16 +10,15 @@ the rectangle rule is spectrally accurate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import TWO_LN2, fwhm_wavelength_to_angular
 from .errors import IncompatibleGridError, InvalidArgumentError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class FrequencyGrid:
+class FrequencyGrid(Frozen):
     """Uniform detuning grid, symmetric about zero, around a carrier wavelength.
 
     Attributes:
@@ -34,18 +33,22 @@ class FrequencyGrid:
     spacing: float
     detunings: np.ndarray
 
-    def __post_init__(self) -> None:
-        det = np.asarray(self.detunings, dtype=float)
-        if det.shape != (self.n_points,):
+    def __init__(
+        self, center_wavelength: float, n_points: int, spacing: float, detunings: np.ndarray
+    ) -> None:
+        det = np.asarray(detunings, dtype=float)
+        if det.shape != (n_points,):
             raise InvalidArgumentError(
-                f"detunings shape {det.shape} does not match n_points={self.n_points}"
+                f"detunings shape {det.shape} does not match n_points={n_points}"
             )
-        if self.n_points < 8:
-            raise InvalidArgumentError(f"n_points must be >= 8, got {self.n_points}")
-        if self.spacing <= 0:
-            raise InvalidArgumentError(f"spacing must be > 0, got {self.spacing}")
+        if n_points < 8:
+            raise InvalidArgumentError(f"n_points must be >= 8, got {n_points}")
+        if not spacing > 0:  # NaN fails too
+            raise InvalidArgumentError(f"spacing must be > 0, got {spacing}")
         det.setflags(write=False)
-        object.__setattr__(self, "detunings", det)
+        self.__dict__.update(
+            center_wavelength=center_wavelength, n_points=n_points, spacing=spacing, detunings=det
+        )
 
     def compatible_with(self, other: "FrequencyGrid") -> bool:
         if self is other:
@@ -102,8 +105,7 @@ def make_grid(
     )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class HeraldedState:
+class HeraldedState(Frozen):
     """A photon as a spectral mixture: ``weights`` over the rows of ``modes``.
 
     ``modes`` is a read-only complex (R, N) matrix, one mode function per
@@ -117,13 +119,13 @@ class HeraldedState:
     modes: np.ndarray
     grid: FrequencyGrid
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        modes = np.ascontiguousarray(self.modes, dtype=complex)
-        if len(w) == 0 or modes.shape != (len(w), self.grid.n_points):
+    def __init__(self, weights: np.ndarray, modes: np.ndarray, grid: FrequencyGrid) -> None:
+        w = np.asarray(weights, dtype=float)
+        modes = np.ascontiguousarray(modes, dtype=complex)
+        if len(w) == 0 or modes.shape != (len(w), grid.n_points):
             raise InvalidArgumentError(
                 f"modes shape {modes.shape} does not match {len(w)} weights on a "
-                f"grid of {self.grid.n_points} points"
+                f"grid of {grid.n_points} points"
             )
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidArgumentError(
@@ -131,8 +133,7 @@ class HeraldedState:
             )
         w.setflags(write=False)
         modes.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "modes", modes)
+        self.__dict__.update(weights=w, modes=modes, grid=grid)
 
 
 def gaussian_mode(
@@ -142,7 +143,7 @@ def gaussian_mode(
 ) -> HeraldedState:
     """Pure state of a unit-norm Gaussian amplitude whose *intensity* FWHM is
     ``intensity_fwhm`` (rad/fs), centered at ``center_detuning`` on the grid."""
-    if intensity_fwhm <= 0:
+    if not intensity_fwhm > 0:
         raise InvalidArgumentError(
             f"intensity_fwhm must be > 0, got {intensity_fwhm}"
         )

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -734,6 +735,108 @@ def test_array_free_presets_run_without_numpy(tmp_path, preset):
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / f"{preset}_manifest.yaml").is_file()
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_presets_run_without_dataclasses_or_numpy_random(tmp_path, preset):
+    # The scenario sections and value classes are plain classes, and the
+    # Schmidt test block comes from homsim's own generator: no preset needs
+    # either module, so with both made unimportable every run still writes.
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys; sys.modules['dataclasses'] = None; sys.modules['numpy.random'] = None; "
+        "from homsim.cli import main; "
+        f"main(['run', '--preset', {preset!r}, '--out', {str(tmp_path)!r}])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / f"{preset}_manifest.yaml").is_file()
+
+
+def _splitmix64_normals(count: int) -> list[float]:
+    """The first ``count`` normals of the Schmidt test block, in Python ints
+    and ``math``: splitmix64 from the seed, 53-bit uniforms in (0, 1],
+    Box-Muller pairs."""
+    from homsim.schmidt import _SEED
+
+    mask = (1 << 64) - 1
+    uniforms = []
+    for i in range(count + count % 2):
+        z = (_SEED + (i + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        uniforms.append(((z >> 11) + 1) / 2.0**53)
+    normals = []
+    for u1, u2 in zip(uniforms[0::2], uniforms[1::2]):
+        radius = math.sqrt(-2.0 * math.log(u1))
+        normals += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    return normals[:count]
+
+
+@pytest.mark.parametrize(
+    "n, k, last",
+    [
+        (64, 16, 0.23645161183692298),
+        (64, 32, -1.1279281388026405),
+        (1024, 16, -0.6213691893827048),
+        (1024, 32, -1.0412396480823458),
+    ],
+)
+def test_schmidt_test_block_is_pinned(n, k, last):
+    from homsim.schmidt import _test_block
+
+    block = _test_block(n, k)
+    assert block.shape == (n, k) and block.dtype == np.float64
+    # Row-major, so every shape starts with the same normals.
+    first = [-0.3324111650007086, -0.714050587485064, 1.5127983103509017, 0.4916967392121708]
+    np.testing.assert_allclose(block.ravel()[:4], first, rtol=1e-14, atol=0)
+    assert block[-1, -1] == pytest.approx(last, rel=1e-14)
+    np.testing.assert_allclose(block.ravel()[:64], _splitmix64_normals(64), rtol=1e-14, atol=1e-15)
+    assert np.array_equal(_test_block(n, k), block)
+    assert abs(block.mean()) < 0.05 and abs(block.std() - 1.0) < 0.05
+
+
+def test_value_objects_are_immutable():
+    from homsim.hom import DipMetrics, InterferenceScan, ScanConfig
+    from homsim.network import (
+        BeamSplitterNode,
+        CancellationReport,
+        DetectorNode,
+        NetworkEdge,
+        PathDispersion,
+        SourceNode,
+    )
+    from homsim.schmidt import schmidt_decompose
+    from homsim.source import BandpassFilter, PhaseMatching, PumpSpectrum, build_jsa
+
+    grid = make_grid(780.0, 10.0, 4.0, 64)
+    jsa = build_jsa(PumpSpectrum(), PhaseMatching(), grid, grid)
+    decomp = schmidt_decompose(jsa, rank=2)
+    values = [
+        (grid, "spacing"),
+        (gaussian_mode(grid, 0.02), "weights"),
+        (PumpSpectrum(), "center_wavelength"),
+        (PhaseMatching(), "model"),
+        (BandpassFilter(780.0, 10.0), "fwhm"),
+        (jsa, "amplitudes"),
+        (decomp, "tail_mass"),
+        (ScanConfig(-1.0, 1.0, 3), "n_steps"),
+        (InterferenceScan([0.0], [0.25]), "taus"),
+        (DipMetrics(0.5, 0.3, 0.5, 0.0, 0.5, 0.0), "visibility"),
+        (SourceNode("a"), "delay"),
+        (BeamSplitterNode("A"), "unitary"),
+        (DetectorNode("d"), "id"),
+        (NetworkEdge("a", "A.in0"), "beta_l"),
+        (PathDispersion("a", "A", 0.0), "via"),
+        (CancellationReport(True, (), 1e-6), "satisfied"),
+    ]
+    for obj, name in values:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
 
 
 def test_public_names_resolve_to_their_home_modules():

@@ -7,10 +7,13 @@ import yaml
 
 from homsim.errors import ScenarioNotFoundError, ScenarioParseError
 from homsim.scenario import (
+    FilterConfig,
     Scenario,
+    dump,
     list_presets,
     load_preset,
     parse_scenario,
+    replace,
     scenario_from_dict,
 )
 
@@ -384,3 +387,22 @@ def test_integral_yaml_numbers_dump_as_floats_in_the_manifest(tmp_path):
     manifest = (tmp_path / "ints_manifest.yaml").read_text(encoding="utf-8")
     assert "    fwhm_nm: 10.0\n" in manifest
     assert "    - 6000.0\n" in manifest
+
+
+def test_sections_are_keyword_only_immutable_and_replaced_by_copy():
+    sc = load_preset("fig2a")
+    with pytest.raises(AttributeError):
+        sc.name = "other"
+    with pytest.raises(AttributeError):
+        del sc.source.pump.center_wavelength_nm
+    changed = replace(sc, name="other")
+    assert (changed.name, sc.name) == ("other", "fig2a")
+    assert changed.source is sc.source
+    assert dump(replace(changed, name="fig2a")) == dump(sc)
+    assert FilterConfig(fwhm_nm=5.0).center_wavelength_nm == 780.0
+    with pytest.raises(TypeError, match="fwhm_nm"):
+        FilterConfig()  # a field without a default is required
+    with pytest.raises(TypeError):
+        FilterConfig(780.0, 5.0)  # keyword-only
+    with pytest.raises(TypeError, match="colour"):
+        replace(sc, colour="red")

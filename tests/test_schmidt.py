@@ -138,6 +138,19 @@ def test_truncation_rules(filtered_jsa):
         schmidt_decompose(filtered_jsa, rank=3, mass=0.9)
 
 
+@pytest.mark.parametrize("rank", [2.7, True, False, 0, -1, float("nan"), float("inf")])
+def test_rank_must_be_an_integer_of_at_least_one(filtered_jsa, rank):
+    # The loader's truncation.value rule: 2.7 must not keep 2 modes, nor True 1.
+    with pytest.raises(InvalidArgumentError, match="integer >= 1"):
+        schmidt_decompose(filtered_jsa, rank=rank)
+
+
+def test_integral_rank_of_any_number_type_is_accepted(filtered_jsa):
+    # The runner passes a loaded truncation.value, which is a float.
+    for rank in (2, 2.0, np.int64(2)):
+        assert schmidt_decompose(filtered_jsa, rank=rank).rank == 2
+
+
 def test_heavy_truncation_sets_warning_flag(filtered_jsa):
     decomp = schmidt_decompose(filtered_jsa, rank=1)
     assert decomp.tail_mass > 0.05

@@ -21,7 +21,7 @@ from homsim.source import (
     build_jsa,
     jsi,
 )
-from homsim.spectral import fwhm_wavelength_to_angular, make_grid
+from homsim.spectral import FrequencyGrid, fwhm_wavelength_to_angular, gaussian_mode, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,44 @@ def test_invariants_of_config_types():
         BandpassFilter(780.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         PhaseMatching(model="lorentzian")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda grid: PumpSpectrum(pulse_duration_fwhm=NAN),
+        lambda grid: PumpSpectrum(center_wavelength=NAN),
+        lambda grid: PhaseMatching(crystal_length=NAN),
+        lambda grid: BandpassFilter(780.0, NAN),
+        lambda grid: BandpassFilter(NAN, 10.0),
+        lambda grid: FrequencyGrid(780.0, 8, NAN, np.zeros(8)),
+        lambda grid: make_grid(780.0, 10.0, NAN, 64),
+        lambda grid: JointSpectralAmplitude(grid, grid, np.full((512, 512), NAN)),
+        lambda grid: build_jsa(PumpSpectrum(), PhaseMatching(gvm_signal=NAN), grid, grid),
+        lambda grid: gaussian_mode(grid, NAN),
+    ],
+    ids=[
+        "pulse-duration",
+        "pump-wavelength",
+        "crystal-length",
+        "filter-fwhm",
+        "filter-wavelength",
+        "grid-spacing",
+        "grid-span",
+        "jsa-norm",
+        "gvm-slope",
+        "mode-width",
+    ],
+)
+def test_nan_parameters_are_rejected(grid, build):
+    # A NaN passes a `<= 0` check; each of these would otherwise build an
+    # all-NaN JSA or mode that fails only later, e.g. in the SVD as numpy's
+    # LinAlgError.
+    with pytest.raises(InvalidArgumentError):
+        build(grid)
 
 
 def test_pump_angular_fwhm_matches_time_bandwidth_product():
