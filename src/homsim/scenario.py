@@ -77,8 +77,15 @@ class _Section(Frozen):
     _fields: tuple = ()
 
     def __init_subclass__(cls) -> None:
+        # ``cls.__annotations__`` holds the class's own annotations only (not a
+        # base's) from Python 3.10 on; from 3.14 on the class dict keeps an
+        # annotate function instead of an ``__annotations__`` entry, and this
+        # attribute evaluates it.
+        annotations = cls.__annotations__
+        if not annotations:
+            raise TypeError(f"scenario section {cls.__name__} declares no fields")
         fields = []
-        for name, tp in cls.__dict__.get("__annotations__", {}).items():
+        for name, tp in annotations.items():
             default = cls.__dict__.get(name, _REQUIRED)
             bound = {}
             if isinstance(default, _Bounded):

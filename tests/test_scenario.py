@@ -406,3 +406,18 @@ def test_sections_are_keyword_only_immutable_and_replaced_by_copy():
         FilterConfig(780.0, 5.0)  # keyword-only
     with pytest.raises(TypeError, match="colour"):
         replace(sc, colour="red")
+
+
+def test_a_section_reads_its_own_annotated_fields_and_needs_at_least_one():
+    from homsim.scenario import _Section
+
+    assert [name for name, *_ in FilterConfig._fields] == [
+        "center_wavelength_nm",
+        "fwhm_nm",
+        "shape",
+    ]
+    assert [name for name, *_ in Scenario._fields][:2] == ["name", "mode"]
+    with pytest.raises(TypeError, match="declares no fields"):
+
+        class Empty(_Section):
+            pass
