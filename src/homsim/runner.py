@@ -129,7 +129,7 @@ def _scan_config(sc: Scenario, delta_beta_l: float):
 
 
 def _filtered_jsa(sc: Scenario):
-    from .source import BandpassFilter, PhaseMatching, PumpSpectrum, apply_filters, build_jsa
+    from .source import BandpassFilter, PhaseMatching, PumpSpectrum, build_jsa
     from .spectral import make_grid
 
     src, g, pmc = sc.source, sc.source.grid, sc.source.phase_matching
@@ -143,7 +143,7 @@ def _filtered_jsa(sc: Scenario):
         None if f is None else BandpassFilter(f.center_wavelength_nm, f.fwhm_nm, f.shape)
         for f in (sc.filters.signal, sc.filters.idler)
     )
-    return apply_filters(build_jsa(pump, pm, grid, grid), signal, idler)
+    return build_jsa(pump, pm, grid, grid, signal, idler)
 
 
 def _decomposition(sc: Scenario, warnings: list[str]):

@@ -50,6 +50,7 @@ eigenvalues are broken by the first moment of the signal-mode intensity.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -227,9 +228,11 @@ def _truncated_svd(
     return q @ ub, s, vh
 
 
+@functools.lru_cache(maxsize=8)
 def _test_block(n: int, k: int) -> np.ndarray:
     """The n x k Gaussian test block: standard normals from a counter-based
-    generator, a function of (n, k) alone.
+    generator, a function of (n, k) alone, so it is computed once per shape
+    and returned read-only.
 
     Uniform i = 0, 1, ... is the i-th output of splitmix64 seeded with
     ``_SEED`` (Steele, Lea & Flood, OOPSLA 2014, with the finaliser of
@@ -254,7 +257,9 @@ def _test_block(n: int, k: int) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log(u[0::2]))
     angle = 2.0 * math.pi * u[1::2]
     pairs = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return pairs.reshape(-1)[:m].reshape(n, k)
+    block = pairs.reshape(-1)[:m].reshape(n, k)
+    block.setflags(write=False)
+    return block
 
 
 def _kept_count(

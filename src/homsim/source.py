@@ -25,10 +25,12 @@ FWHM w adds 2 ln2/w^2 to P or Q, and the heralded purity is
 sqrt(1 - R^2/PQ) (Grice & Walmsley, PRA 56, 1627 (1997); Law, Walmsley &
 Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated in
 place as sin(x)/x times the pump envelope, two N_s x N_i arrays in all.
-Filtering multiplies by the two 1-D amplitude transmissions.  The norm is
-taken once per matrix: ``build_jsa`` and ``apply_filters`` scale the fresh
-matrix they made in place, while the public constructor scales a copy and
-never touches the caller's array.
+Filtering multiplies by the two 1-D amplitude transmissions.  A run keeps
+one N_s x N_i matrix per JSA: ``build_jsa`` given filters normalises its
+fresh matrix, multiplies the transmissions into it and normalises it again,
+all in place.  ``apply_filters`` runs the same steps on one copy of the JSA
+it is given, and the public constructor scales a copy and never touches
+the caller's array.
 """
 
 from __future__ import annotations
@@ -223,12 +225,19 @@ def build_jsa(
     pm: PhaseMatching,
     grid_signal: FrequencyGrid,
     grid_idler: FrequencyGrid,
+    filter_signal: BandpassFilter | None = None,
+    filter_idler: BandpassFilter | None = None,
 ) -> JointSpectralAmplitude:
-    """Pump envelope times phase matching on the given degenerate grids.
+    """Pump envelope times phase matching on the given degenerate grids,
+    optionally filtered.
 
     Both grids must be centered at twice the pump wavelength (degenerate
     down-conversion); energy conservation puts the pump envelope at the
-    detuning sum W_s + W_i.
+    detuning sum W_s + W_i.  With a filter on either arm the one new matrix
+    is normalised, multiplied by the amplitude transmissions and normalised
+    again in place: the bits of ``apply_filters(build_jsa(...), ...)``
+    without its second N_s x N_i array.  A filter combination that removes
+    essentially all amplitude raises :class:`DegenerateFilterError`.
     """
     degenerate = 2.0 * pump.center_wavelength
     for name, grid in (("signal", grid_signal), ("idler", grid_idler)):
@@ -237,8 +246,17 @@ def build_jsa(
                 f"{name} grid centered at {grid.center_wavelength} nm, expected the "
                 f"degenerate wavelength {degenerate} nm"
             )
-    ws = grid_signal.detunings
-    wi = grid_idler.detunings
+    amp = _amplitude_matrix(pump, pm, grid_signal.detunings, grid_idler.detunings)
+    if filter_signal is None and filter_idler is None:
+        return _owning_jsa(grid_signal, grid_idler, amp)
+    amp *= _inverse_norm(amp, grid_signal, grid_idler)
+    return _filtered_jsa(grid_signal, grid_idler, amp, filter_signal, filter_idler)
+
+
+def _amplitude_matrix(
+    pump: PumpSpectrum, pm: PhaseMatching, ws: np.ndarray, wi: np.ndarray
+) -> np.ndarray:
+    """The unnormalised float64 JSA matrix, a new array."""
     if pm.model == "sinc":
         x = np.add.outer(pm.gvm_signal * ws, pm.gvm_idler * wi)
         x *= 0.5 * pm.crystal_length
@@ -249,7 +267,7 @@ def build_jsa(
         pump_amp *= pump_amp
         pump_amp *= -TWO_LN2
         amp *= np.exp(pump_amp, out=pump_amp)
-        return _owning_jsa(grid_signal, grid_idler, amp)
+        return amp
     # One exponential of the completed square (see the module docstring);
     # expanding P ws^2 + Q wi^2 + 2R ws wi instead loses up to 1e-12 of the
     # peak to cancellation when gvm_s is close to gvm_i.
@@ -261,7 +279,7 @@ def build_jsa(
     exponent = np.add.outer(math.sqrt(p) * ws, r / math.sqrt(p) * wi)
     exponent *= exponent
     np.subtract(-d * wi**2, exponent, out=exponent)
-    return _owning_jsa(grid_signal, grid_idler, np.exp(exponent, out=exponent))
+    return np.exp(exponent, out=exponent)
 
 
 def apply_filters(
@@ -271,24 +289,35 @@ def apply_filters(
 ) -> JointSpectralAmplitude:
     """Multiply by the amplitude transmissions sqrt(T_s) sqrt(T_i), renormalize.
 
-    ``None`` leaves an arm unfiltered.  A filter combination that removes
+    ``None`` leaves an arm unfiltered.  The result is a new JSA made from one
+    copy of ``jsa``'s matrix; ``build_jsa`` with the same filters gives the
+    same bits from one matrix in all.  A filter combination that removes
     essentially all amplitude (norm < 1e-15 before renormalization) raises
     :class:`DegenerateFilterError`.
     """
-    ts = (
-        filter_signal.amplitude_transmission(jsa.grid_signal)
-        if filter_signal is not None
-        else np.ones(jsa.grid_signal.n_points)
-    )
-    ti = (
-        filter_idler.amplitude_transmission(jsa.grid_idler)
-        if filter_idler is not None
-        else np.ones(jsa.grid_idler.n_points)
-    )
-    filtered = jsa.amplitudes * ts[:, None]
-    filtered *= ti
+    # order="K" keeps the input's memory layout, and with it the norm's
+    # summation order, as the product ``jsa.amplitudes * ts[:, None]`` would.
+    amp = jsa.amplitudes.copy(order="K")
+    return _filtered_jsa(jsa.grid_signal, jsa.grid_idler, amp, filter_signal, filter_idler)
+
+
+def _filtered_jsa(
+    grid_signal: FrequencyGrid,
+    grid_idler: FrequencyGrid,
+    amp: np.ndarray,
+    filter_signal: BandpassFilter | None,
+    filter_idler: BandpassFilter | None,
+) -> JointSpectralAmplitude:
+    """The JSA of ``amp`` times the filters' amplitude transmissions, for a
+    matrix that the caller made for it and drops: it is filtered and
+    normalised in place.  A ``None`` arm is skipped: for a real matrix that
+    has the bits of a product with ones."""
+    if filter_signal is not None:
+        amp *= filter_signal.amplitude_transmission(grid_signal)[:, None]
+    if filter_idler is not None:
+        amp *= filter_idler.amplitude_transmission(grid_idler)
     try:
-        return _owning_jsa(jsa.grid_signal, jsa.grid_idler, filtered)
+        return _owning_jsa(grid_signal, grid_idler, amp)
     except InvalidArgumentError as exc:  # the grids match, so only a zero norm
         raise DegenerateFilterError(
             "bandpass filters annihilate the joint spectral amplitude"
@@ -297,4 +326,6 @@ def apply_filters(
 
 def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
     """Joint spectral intensity |A|^2 (non-negative, integrates to 1)."""
-    return np.abs(jsa.amplitudes) ** 2
+    x = np.abs(jsa.amplitudes)
+    x *= x  # the bits of ``** 2`` without a second N_s x N_i array
+    return x

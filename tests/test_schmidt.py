@@ -385,3 +385,13 @@ def test_decomposition_modes_match_eigenvalues_and_grids():
         SchmidtDecomposition(np.array([1.0]), modes, modes, grid, grid)
     with pytest.raises(InvalidArgumentError):
         SchmidtDecomposition(np.array([0.75, 0.25]), modes, modes, grid, other)
+
+
+def test_test_block_is_computed_once_per_shape():
+    from homsim.schmidt import _test_block
+
+    block = _test_block(256, 16)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0.0
+    assert _test_block(256, 16) is block

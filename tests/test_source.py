@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from helpers import marginal_intensity_fwhm
 from homsim import runner, source
 from homsim.constants import TWO_LN2
 from homsim.errors import DegenerateFilterError, InvalidArgumentError
-from homsim.scenario import load_preset
+from homsim.scenario import load_preset, scenario_from_dict
 from homsim.schmidt import herald, purity, schmidt_decompose
 from homsim.source import (
     SINC_GAUSSIAN_GAMMA,
@@ -373,6 +374,70 @@ def test_jsa_never_mutates_the_callers_array(grid, monkeypatch):
         assert not a.amplitudes.flags.writeable
         assert a.amplitudes.dtype == b.amplitudes.dtype
         assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
+FILTER_ARMS = {
+    "none": None,
+    "gaussian": BandpassFilter(781.0, 6.0),
+    "flattop": BandpassFilter(779.0, 8.0, shape="flattop"),
+}
+
+
+@pytest.mark.parametrize("model", ["gaussian-approx", "sinc"])
+@pytest.mark.parametrize("signal", sorted(FILTER_ARMS))
+@pytest.mark.parametrize("idler", sorted(FILTER_ARMS))
+def test_filtered_build_has_the_bits_of_apply_filters(model, signal, idler):
+    # Unequal, off-centre grids and filters, so a swapped arm shows.
+    grid_s = make_grid(780.0, 10.0, 4.0, 200)
+    grid_i = make_grid(780.0, 10.0, 3.0, 150)
+    pump, pm = PumpSpectrum(), PhaseMatching(model=model)
+    fs, fi = FILTER_ARMS[signal], FILTER_ARMS[idler]
+    one = build_jsa(pump, pm, grid_s, grid_i, fs, fi)
+    two = apply_filters(build_jsa(pump, pm, grid_s, grid_i), fs, fi)
+    assert one.amplitudes.dtype == two.amplitudes.dtype == np.float64
+    assert not one.amplitudes.flags.writeable
+    if fs is None and fi is None:
+        # No filter: one normalisation where apply_filters takes a second.
+        assert np.array_equal(one.amplitudes, build_jsa(pump, pm, grid_s, grid_i).amplitudes)
+        assert np.allclose(one.amplitudes, two.amplitudes, rtol=1e-15, atol=0)
+    else:
+        assert np.array_equal(one.amplitudes, two.amplitudes)
+
+
+def test_filtered_build_raises_the_degenerate_filter_error_of_apply_filters(grid):
+    off_grid = BandpassFilter(700.0, 0.01, shape="flattop")
+    pump, pm = PumpSpectrum(), PhaseMatching()
+    for arms in ((off_grid, None), (None, off_grid)):
+        with pytest.raises(DegenerateFilterError) as one:
+            build_jsa(pump, pm, grid, grid, *arms)
+        with pytest.raises(DegenerateFilterError) as two:
+            apply_filters(build_jsa(pump, pm, grid, grid), *arms)
+        assert str(one.value) == str(two.value)
+
+
+def test_a_run_builds_its_filtered_jsa_in_one_matrix():
+    # apply_filters(build_jsa(...)) held two N x N arrays at its peak
+    # (16.09 MiB at N = 1024 against 8.00 for one).
+    sc = scenario_from_dict(
+        {
+            "name": "one-matrix",
+            "mode": "two-photon-scan",
+            "source": {"grid": {"n_points": 1024}},
+            "filters": {
+                "signal": {"center_wavelength_nm": 780.0, "fwhm_nm": 4.0},
+                "idler": {"center_wavelength_nm": 780.0, "fwhm_nm": 10.0},
+            },
+        }
+    )
+    runner._filtered_jsa(sc)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        jsa = runner._filtered_jsa(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jsa.amplitudes.shape == (1024, 1024)
+    assert peak <= 1.25 * jsa.amplitudes.nbytes
 
 
 # --- closed-form Gaussian purity --------------------------------------------
