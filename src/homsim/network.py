@@ -6,17 +6,22 @@ carry dispersion, a beta*L product; a photon path accumulates the sum of
 beta*L over its edges.  Dispersion cancels from every interference
 observable exactly when, at each beam splitter, all arriving paths carry
 equal accumulated beta*L - the condition checked by
-:func:`check_cancellation`.  One walk over
-the graph (:func:`_walk`) gives both that bookkeeping and the transfer terms
-of the simulation.  :class:`NetworkSpec` runs it once, when it validates
-the wiring, and keeps both results; the walk also finds every cycle, so a
-spec that exists is a DAG, and no reader walks the graph again.
+:func:`check_cancellation`.  Paths from one source that reach a node with
+equal beta*L share every later phase, so one pass over the splitters in
+topological order (:func:`_walk`; Kahn, Commun. ACM 5, 558 (1962)) carries
+them as one class, keyed by (source, beta*L), and never lists the paths:
+the j-th splitter of a ladder (from 0) is reached by 2^(j+1) paths but
+holds 2(j + 1) classes.  :class:`NetworkSpec` runs the pass once, when it validates the
+wiring, and keeps the classes at every node; the audit reads them at the
+splitters and the engine at the detectors.  A splitter the pass never
+reaches lies on a cycle or downstream of one, so a spec that exists is a
+DAG, and no reader walks the graph again.
 
 Photon s reaches detector d with the port vector
 V_{d,s}(w) = t_{d,s}(w) phi_s(w) e^{i w tau_s}, where t_{d,s} sums the
 products of unitary entries times e^{-i beta*L w^2 / 2} over the paths from
-s to d; the walk adds up the coefficients of paths with equal beta*L, so
-t_{d,s} costs one exponential per distinct beta*L.  Put one photon on each
+s to d; the pass adds up the coefficients of paths with equal beta*L, so
+t_{d,s} costs one exponential per class.  Put one photon on each
 detection row k, at detector p_k.  The probability of the count pattern m
 is the n-fold frequency integral of
 |sum_sigma prod_k V_{p_k, sigma(k)}(w_k)|^2 / prod_d m_d!.  Expanding the
@@ -43,7 +48,7 @@ sources + 2 splitters = detectors + 2 splitters.  The n-photon coincidence,
 one photon per detector, is therefore always the all-ones pattern
 ``(1,) * n`` of :func:`outcome_probabilities`.
 
-The wiring, the walk and the audit run in plain Python; numpy is imported
+The wiring, the pass and the audit run in plain Python; numpy is imported
 only by the engine (:func:`_gram_matrices`, :func:`outcome_probabilities`),
 so a ``network-check`` run never loads it.
 """
@@ -127,7 +132,9 @@ class NetworkEdge(Frozen):
 
 
 class PathDispersion(Frozen):
-    """Accumulated beta*L (fs^2) along one source -> beam-splitter path."""
+    """Accumulated beta*L (fs^2) of one (source, beta*L) class of paths into
+    a beam splitter; ``via`` lists the splitters on its first path in
+    depth-first order."""
 
     source: str
     beam_splitter: str
@@ -142,8 +149,8 @@ class PathDispersion(Frozen):
 
 class CancellationReport(Frozen):
     """Outcome of :func:`check_cancellation`: each violation is a pair of
-    paths into the same beam splitter whose beta*L differ by more than
-    ``tolerance`` (fs^2)."""
+    classes of paths into the same beam splitter whose beta*L differ by more
+    than ``tolerance`` (fs^2)."""
 
     satisfied: bool
     violations: tuple[tuple[PathDispersion, PathDispersion], ...]
@@ -174,14 +181,17 @@ class CancellationReport(Frozen):
 
 
 class NetworkSpec:
-    """Validated interferometer wiring and the one walk over its paths.
+    """Validated interferometer wiring and the one pass over its splitters.
 
     Raises :class:`InvalidNetworkError` for cyclic graphs, dangling or
     multiply-used ports, or unknown endpoint names; its ``where`` names the
-    faulty node or edge endpoint.  ``paths`` and ``terms`` hold the two
-    results of :func:`_walk`: the accumulated beta*L of every source ->
-    beam-splitter path, and per (detector, source) the summed amplitude
-    coefficient of each distinct beta*L among its paths.
+    faulty node or edge endpoint.  ``classes`` holds the result of
+    :func:`_walk`: per splitter or detector id, the classes of paths that
+    reach it, ``(source index, beta*L) -> [coefficient at in0, coefficient
+    at in1, rank, via]`` in the order a depth-first walk over the paths
+    would meet them.  A class's coefficients are the summed amplitudes of
+    its paths (a detector's is at in0); ``rank`` and ``via`` are the output
+    ports and the splitters of its first path.
     """
 
     def __init__(
@@ -198,7 +208,7 @@ class NetworkSpec:
         self._bs_by_id = {b.id: b for b in beam_splitters}
         self._edges_from: dict[str, NetworkEdge] = {}
         self._validate()
-        self.paths, self.terms = _walk(self)
+        self.classes = _walk(self)
 
     def _validate(self) -> None:
         ids = set()
@@ -236,74 +246,67 @@ class NetworkSpec:
                     raise InvalidNetworkError(f"{kind} {port!r} is not connected", where)
 
 
-def _walk(
-    net: NetworkSpec,
-) -> tuple[list[PathDispersion], dict[tuple[str, str], dict[float, complex]]]:
-    """The one depth-first walk over every source -> detector path, run by
-    :class:`NetworkSpec` once its ports are wired.
+def _walk(net: NetworkSpec) -> dict[str, dict[tuple[int, float], list]]:
+    """The one pass over the splitters in topological order, run by
+    :class:`NetworkSpec` once its ports are wired; see ``NetworkSpec.classes``.
 
-    Returns the accumulated beta*L on arrival at each beam splitter, one
-    :class:`PathDispersion` per distinct path in walk order, and per
-    (detector, source) a map from each beta*L of the paths that end at that
-    detector to their summed amplitude coefficient.  A path's coefficient is
-    the product of the unitary entries met on the way; paths of equal beta*L
-    share one transfer phase, so a ladder of k splitters, with its 2^k paths,
-    keeps one term per distinct beta*L.
+    A splitter is processed once both of its inputs have been fed, and it
+    feeds each output every class it holds, its coefficient mixed by the
+    unitary's row.  Each class arrives at an input once, on one edge, so no
+    sum depends on the order of the pass.  A path's rank, the sequence of
+    output ports it takes, orders the paths of one source as a depth-first
+    walk meets them, so the smallest rank orders the classes.
 
-    It also finds every cycle.  A splitter already on the current path
-    closes one.  A splitter that no path reaches lies on one too: with every
-    port wired once, the unreached splitters feed only each other, and in
-    a graph where each node has as many inputs as outputs every edge lies on
-    a cycle.
+    A splitter the pass never reaches has an input fed by another such
+    splitter; walking back through those inputs must repeat a splitter,
+    and that one lies on a cycle.
     """
-    paths: list[PathDispersion] = []
-    terms: dict[tuple[str, str], dict[float, complex]] = {}
+    classes: dict[str, dict] = {n.id: {} for n in (*net.beam_splitters, *net.detectors)}
+    waiting = {b.id: 2 for b in net.beam_splitters}  # inputs not yet fed
+    ready: list[str] = []
 
-    def visit(
-        endpoint: str, coeff: complex, acc: float, via: tuple[str, ...], source_id: str
-    ) -> None:
-        edge = net._edges_from[endpoint]
-        acc += edge.beta_l
+    def feed(start: str, arriving: list) -> None:
+        edge = net._edges_from[start]
         node, _, port = edge.end.partition(".")
-        bs = net._bs_by_id.get(node)
-        if bs is None:  # a detector ends the path
-            merged = terms.setdefault((node, source_id), {})
-            merged[acc] = merged[acc] + coeff if acc in merged else coeff
-            return
-        if node in via:
-            raise InvalidNetworkError(
-                f"network contains a cycle through {node!r}",
-                ("beam_splitters", net.beam_splitters.index(bs)),
-            )
-        paths.append(PathDispersion(source_id, node, acc, via))
-        in_idx = 0 if port == "in0" else 1
-        for out_idx in (0, 1):
-            visit(
-                f"{node}.out{out_idx}",
-                coeff * bs.unitary[out_idx][in_idx],
-                acc,
-                via + (node,),
-                source_id,
-            )
+        held = classes[node]
+        for (source, beta_l), coeff, rank, via in arriving:
+            entry = held.setdefault((source, beta_l + edge.beta_l), [0j, 0j, rank, via])
+            entry[port == "in1"] += coeff
+            entry[2:] = min(entry[2:], [rank, via])  # ranks differ, so via is never compared
+        if node in waiting:
+            waiting[node] -= 1
+            if not waiting[node]:
+                ready.append(node)
 
-    for s in net.sources:
-        visit(s.id, 1.0 + 0.0j, 0.0, (), s.id)
-    reached = {p.beam_splitter for p in paths}
-    for i, b in enumerate(net.beam_splitters):
-        if b.id not in reached:
-            raise InvalidNetworkError(
-                f"network contains a cycle through {b.id!r}", ("beam_splitters", i)
+    for i, s in enumerate(net.sources):
+        feed(s.id, [((i, 0.0), 1.0 + 0.0j, (), ())])
+    for node in ready:  # grows while the pass runs
+        u = net._bs_by_id[node].unitary
+        for out in (0, 1):
+            feed(
+                f"{node}.out{out}",
+                [
+                    (key, u[out][0] * c0 + u[out][1] * c1, rank + (out,), via + (node,))
+                    for key, (c0, c1, rank, via) in classes[node].items()
+                ],
             )
-    return paths, terms
+    if len(ready) < len(net.beam_splitters):
+        feeder = {e.end: e.start.partition(".")[0] for e in net.edges}
+        node, seen = next(b for b in waiting if waiting[b]), []
+        while node not in seen:
+            seen.append(node)
+            node = next(f for f in map(feeder.get, (node + ".in0", node + ".in1")) if waiting.get(f))
+        where = ("beam_splitters", list(waiting).index(node))
+        raise InvalidNetworkError(f"network contains a cycle through {node!r}", where)
+    order = lambda item: (item[0][0], item[1][2])  # source index, then rank
+    return {node: dict(sorted(held.items(), key=order)) for node, held in classes.items()}
 
 
 def detector_dispersion_spread(net: NetworkSpec) -> float:
     """Largest difference of accumulated beta*L (fs^2) between two
     source -> detector paths that end at the same detector."""
-    by_detector: dict[str, list[float]] = {}
-    for (detector, _), merged in net.terms.items():
-        by_detector.setdefault(detector, []).extend(merged)
-    return max((max(b) - min(b) for b in by_detector.values()), default=0.0)
+    spreads = [[beta_l for _, beta_l in net.classes[d.id]] for d in net.detectors]
+    return max((max(b) - min(b) for b in spreads), default=0.0)
 
 
 def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> CancellationReport:
@@ -311,17 +314,20 @@ def check_cancellation(net: NetworkSpec, tolerance: float = 1e-6) -> Cancellatio
 
     Dispersion cancels from the interference at a beam splitter iff all
     photon paths arriving there carry the same accumulated beta*L (within
-    ``tolerance``, in fs^2).
+    ``tolerance``, in fs^2).  Each violation pairs two (source, beta*L)
+    classes of paths, in the order of ``NetworkSpec.classes``.
     """
-    by_bs: dict[str, list[PathDispersion]] = {}
-    for p in net.paths:
-        by_bs.setdefault(p.beam_splitter, []).append(p)
-    violations = [
-        (a, b)
-        for bs in sorted(by_bs)
-        for a, b in itertools.combinations(by_bs[bs], 2)
-        if abs(a.beta_l - b.beta_l) > tolerance
-    ]
+    violations = []
+    for bs in sorted(b.id for b in net.beam_splitters):
+        entries = [
+            PathDispersion(net.sources[source].id, bs, beta_l, via)
+            for (source, beta_l), (*_, via) in net.classes[bs].items()
+        ]
+        violations += [
+            (a, b)
+            for a, b in itertools.combinations(entries, 2)
+            if abs(a.beta_l - b.beta_l) > tolerance
+        ]
     return CancellationReport(
         satisfied=not violations, violations=tuple(violations), tolerance=tolerance
     )
@@ -361,10 +367,11 @@ def _gram_matrices(
     vectors = np.empty((len(net.detectors), n_columns, len(w)), dtype=complex)
     for i, d in enumerate(net.detectors):
         col = 0
-        for s, st, shift in zip(net.sources, states, shifts):
+        for j, (st, shift) in enumerate(zip(states, shifts)):
             t = np.zeros(len(w), dtype=complex)
-            for beta_l, coeff in net.terms.get((d.id, s.id), {}).items():
-                t = t + coeff * np.exp(-0.5j * beta_l * w**2)
+            for (source, beta_l), (coeff, *_) in net.classes[d.id].items():
+                if source == j:
+                    t = t + coeff * np.exp(-0.5j * beta_l * w**2)
             vectors[i, col : col + len(st.modes)] = (t * st.modes) * shift
             col += len(st.modes)
     return grid.spacing * (vectors.conj() @ vectors.transpose(0, 2, 1))

@@ -173,7 +173,9 @@ def schmidt_decompose(
     # The weighted matrix A*sqrt(ds*di) has the singular vectors of A and the
     # eigenvalues (s*sqrt(ds*di))^2.
     cell = ds * di
-    total = float(np.vdot(amplitudes, amplitudes).real) * cell  # 1 up to rounding
+    # The squared norm, 1 up to rounding.  einsum, not a BLAS dot: OpenBLAS
+    # splits a dot's sum across its threads, so the bits would follow them.
+    total = float(np.einsum("ij,ij->", amplitudes.conj(), amplitudes).real) * cell
 
     full = min(amplitudes.shape)
     k = min(_INITIAL_BLOCK, full)

@@ -1,0 +1,236 @@
+"""Regenerate the golden files of ``tests/golden/``, one JSON per scenario.
+
+Run from the repository root after a change that moves a printed number on
+purpose:
+
+    PYTHONPATH=src python tests/regenerate_golden.py
+
+Each file holds the scenario (a preset name or a scenario dict) and, per
+output file of the run (the manifest aside), the parsed values and a bound
+per quantity.  ``tests/test_golden.py`` re-runs the scenario and compares:
+strings, ints and booleans exactly, floats within the bound of their
+quantity.  A quantity is a JSON key path with list indices dropped (a
+bound on ``violations`` covers every float under it) or a CSV column.
+
+The bounds below were measured, not guessed: every scenario was run under
+the default OpenBLAS settings and under ``OPENBLAS_CORETYPE=Prescott``,
+``Haswell`` and ``Sandybridge``, ``OPENBLAS_NUM_THREADS=1`` and ``4`` and
+``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``, and
+each bound keeps a margin over the largest difference seen.  A two-photon
+preset enters the same way: its metrics JSON by key, its scan, curve and
+eigenvalue CSVs by column.
+"""
+
+from __future__ import annotations
+
+import copy
+import csv
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from homsim.runner import run
+from homsim.scenario import load_preset, scenario_from_dict
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+EXACT = (
+    "plain-Python sums and products of scenario inputs, or values copied "
+    "from the scenario; no BLAS or SIMD reduction touches them, and every "
+    "setting measured left them bit-identical"
+)
+BOUNDS = {
+    "tolerance_fs2": (0.0, EXACT),
+    "violations": (0.0, EXACT),
+    "cancellation": (0.0, EXACT),
+    "delays_fs": (0.0, EXACT),
+    "delay_fs": (0.0, "the scan's delays, an elementwise linspace; measured bit-identical"),
+    "photon_bandwidth_fwhm_nm": (0.0, EXACT),
+    "coincidence_probability": (
+        1e-14,
+        "a sum of n!^2 products of Gram entries, whose GEMM and exp kernels "
+        "follow the BLAS kernel set and numpy's SIMD level; the largest "
+        "difference measured was 2.8e-16 (OPENBLAS_CORETYPE=Haswell)",
+    ),
+    "probability": (
+        1e-14,
+        "as coincidence_probability, one engine call per delay; the largest "
+        "difference measured was 1.3e-15 (Prescott, one thread)",
+    ),
+    "outcome_probability_sum_error": (
+        1e-14,
+        "sum of all pattern probabilities minus 1, a rounding residue near "
+        "1e-16, so only an absolute bound fits; the largest difference "
+        "measured was 6.7e-16 (Haswell)",
+    ),
+}
+
+# The README's cascade: condition (i) broken by the 226812 fs^2 on s3's arm.
+README_CASCADE = {
+    "name": "cascade-sim",
+    "mode": "network-sim",
+    "network": {
+        "sources": [{"id": "s1", "delay_fs": 60.0}, {"id": "s2"}, {"id": "s3", "delay_fs": -40.0}],
+        "beam_splitters": [{"id": "A"}, {"id": "B"}],
+        "detectors": ["d1", "d2", "d3"],
+        "edges": [
+            {"start": "s1", "end": "A.in0", "beta_fs2_per_mm": 37.802, "length_mm": 6000.0},
+            {"start": "s2", "end": "A.in1", "beta_fs2_per_mm": 37.802, "length_mm": 6000.0},
+            {"start": "A.out0", "end": "d1"},
+            {"start": "A.out1", "end": "B.in0"},
+            {"start": "s3", "end": "B.in1", "beta_l_fs2": 226812.0},
+            {"start": "B.out0", "end": "d2"},
+            {"start": "B.out1", "end": "d3"},
+        ],
+        "delay_scan": {"source": "s1", "min_fs": -150.0, "max_fs": 150.0, "n_steps": 31},
+    },
+}
+
+
+def _cascade_with_real_splitter() -> dict:
+    sc = copy.deepcopy(README_CASCADE)
+    sc["name"] = "cascade-0.6-0.8"
+    sc["network"]["beam_splitters"][1]["unitary"] = [
+        [[0.6, 0.0], [0.8, 0.0]],
+        [[0.8, 0.0], [-0.6, 0.0]],
+    ]
+    return sc
+
+
+# Both outputs of a complex 0.6/0.8 splitter recombine at a 50/50 one, over
+# arms of unequal dispersion.
+MACH_ZEHNDER = {
+    "name": "mach-zehnder",
+    "mode": "network-sim",
+    "network": {
+        "sources": [{"id": "a", "delay_fs": 30.0}, {"id": "b"}],
+        "beam_splitters": [
+            {"id": "A", "unitary": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]},
+            {"id": "B"},
+        ],
+        "detectors": ["d1", "d2"],
+        "edges": [
+            {"start": "a", "end": "A.in0", "beta_l_fs2": 5.0e4},
+            {"start": "b", "end": "A.in1"},
+            {"start": "A.out0", "end": "B.in0", "beta_l_fs2": 2.0e4},
+            {"start": "A.out1", "end": "B.in1", "beta_l_fs2": 7.0e4},
+            {"start": "B.out0", "end": "d1"},
+            {"start": "B.out1", "end": "d2", "beta_l_fs2": 1.0e4},
+        ],
+        "delay_scan": {"source": "a", "min_fs": -200.0, "max_fs": 200.0, "n_steps": 9},
+    },
+}
+
+
+def _ladder_check(k: int) -> dict:
+    """Two sources through k 50/50 splitters in series (out0 -> in0 over
+    1e4 fs^2, out1 -> in1 without): 2^(j+1) paths but 2(j + 1) classes of
+    distinct beta*L reach splitter L<j>."""
+    edges = [
+        {"start": "a", "end": "L0.in0", "beta_l_fs2": 3e3},
+        {"start": "b", "end": "L0.in1"},
+    ]
+    for j in range(k - 1):
+        edges.append({"start": f"L{j}.out0", "end": f"L{j + 1}.in0", "beta_l_fs2": 1e4})
+        edges.append({"start": f"L{j}.out1", "end": f"L{j + 1}.in1"})
+    edges += [
+        {"start": f"L{k - 1}.out0", "end": "d0"},
+        {"start": f"L{k - 1}.out1", "end": "d1"},
+    ]
+    return {
+        "name": f"ladder-{k}",
+        "mode": "network-check",
+        "network": {
+            "sources": [{"id": "a"}, {"id": "b"}],
+            "beam_splitters": [{"id": f"L{j}"} for j in range(k)],
+            "detectors": ["d0", "d1"],
+            "edges": edges,
+        },
+    }
+
+
+SCENARIOS = {
+    "fig5-cond-i": {"preset": "fig5-cond-i"},
+    "fig5-cond-ii": {"preset": "fig5-cond-ii"},
+    "readme-cascade-sim": {"scenario": README_CASCADE},
+    "cascade-0.6-0.8": {"scenario": _cascade_with_real_splitter()},
+    "mach-zehnder": {"scenario": MACH_ZEHNDER},
+    "ladder-6-check": {"scenario": _ladder_check(6)},
+}
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse(path: Path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    return {name: [_cell(row[i]) for row in rows] for i, name in enumerate(header)}
+
+
+def quantities(value, path: str = ""):
+    """Every (quantity, leaf) of a parsed output: dict keys joined by dots,
+    list indices dropped."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from quantities(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from quantities(item, path)
+    else:
+        yield path, value
+
+
+def bound_key(bounds: dict, quantity: str) -> str:
+    """``quantity``, or its closest enclosing key that ``bounds`` holds."""
+    while quantity not in bounds and "." in quantity:
+        quantity = quantity.rpartition(".")[0]
+    return quantity
+
+
+def outputs(entry: dict) -> dict:
+    """Run a golden entry's scenario in a fresh directory and return each
+    output file's parsed values, by file name; the manifest is left out."""
+    if "preset" in entry:
+        scenario = load_preset(entry["preset"])
+    else:
+        scenario = scenario_from_dict(copy.deepcopy(entry["scenario"]))
+    with tempfile.TemporaryDirectory() as out:
+        result = run(scenario, out_dir=out)
+        return {
+            name: _parse(Path(out) / name)
+            for name in sorted(result.files)
+            if not name.endswith("_manifest.yaml")
+        }
+
+
+def golden_entry(entry: dict) -> dict:
+    files = {}
+    for name, values in outputs(entry).items():
+        bounds = {}
+        for quantity, leaf in quantities(values):
+            if isinstance(leaf, float):
+                key = bound_key(BOUNDS, quantity)
+                abs_bound, why = BOUNDS[key]  # a new quantity needs a measured bound
+                bounds[key] = {"abs": abs_bound, "why": why}
+        files[name] = {"bounds": bounds, "values": values}
+    return {**entry, "outputs": files}
+
+
+def main() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, entry in SCENARIOS.items():
+        path = GOLDEN / f"{name}.json"
+        path.write_text(json.dumps(golden_entry(entry), indent=1) + "\n", encoding="utf-8")
+        print(path, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -148,9 +148,18 @@ def single_splitter(beta_l_1=0.0, beta_l_2=0.0):
     )
 
 
+def splitter_classes(net):
+    """(source id, splitter id, beta*L) of every class held at a splitter."""
+    return [
+        (net.sources[source].id, b.id, beta_l)
+        for b in net.beam_splitters
+        for source, beta_l in net.classes[b.id]
+    ]
+
+
 def test_fig5_path_bookkeeping():
     net = cascade_network(1.0, 2.0, 3.0, 10.0)
-    entries = {(p.source, p.beam_splitter): p.beta_l for p in net.paths}
+    entries = {(source, bs): beta_l for source, bs, beta_l in splitter_classes(net)}
     assert entries == {
         ("s1", "A"): 1.0,
         ("s2", "A"): 2.0,
@@ -162,13 +171,13 @@ def test_fig5_path_bookkeeping():
 
 def test_no_dispersion_accumulates_zero():
     net = cascade_network(0.0, 0.0, 0.0, 0.0)
-    assert all(p.beta_l == 0.0 for p in net.paths)
+    assert all(beta_l == 0.0 for _, _, beta_l in splitter_classes(net))
 
 
 def test_single_splitter_has_two_entries():
-    paths = single_splitter(5.0, 7.0).paths
-    assert len(paths) == 2
-    assert {p.source for p in paths} == {"a", "b"}
+    classes = splitter_classes(single_splitter(5.0, 7.0))
+    assert len(classes) == 2
+    assert {source for source, _, _ in classes} == {"a", "b"}
 
 
 def test_condition_i_satisfied():
@@ -226,6 +235,23 @@ def test_cyclic_network_rejected():
                 NetworkEdge("A.out1", "A.in1"),
             ],
         )
+    # The splitter downstream of the cycle comes first: the error names the
+    # one on the cycle.
+    with pytest.raises(InvalidNetworkError, match="cycle through 'A'") as info:
+        NetworkSpec(
+            sources=[SourceNode("a"), SourceNode("b")],
+            beam_splitters=[BeamSplitterNode("B"), BeamSplitterNode("A")],
+            detectors=[DetectorNode("d1"), DetectorNode("d2")],
+            edges=[
+                NetworkEdge("a", "A.in1"),
+                NetworkEdge("b", "B.in1"),
+                NetworkEdge("A.out0", "A.in0"),
+                NetworkEdge("A.out1", "B.in0"),
+                NetworkEdge("B.out0", "d1"),
+                NetworkEdge("B.out1", "d2"),
+            ],
+        )
+    assert info.value.where == ("beam_splitters", 1)
 
 
 def test_bad_wiring_rejected():
@@ -555,11 +581,67 @@ def test_ladder_keeps_one_term_per_distinct_beta_l(grid48):
     k = 12
     net = ladder(k)
     oracle_terms = oracle_transfer_terms(net)
-    for key, paths in oracle_terms.items():
+    for (detector, source), paths in oracle_terms.items():
+        index = [s.id for s in net.sources].index(source)
+        terms = [beta_l for s, beta_l in net.classes[detector] if s == index]
         assert len(paths) == 2 ** (k - 1)
-        assert sorted(net.terms[key]) == sorted({beta_l for _, beta_l in paths})
-        assert len(net.terms[key]) == k
+        assert sorted(terms) == sorted({beta_l for _, beta_l in paths})
+        assert len(terms) == k
     assert_matches_oracle(net, random_photons(grid48, 2, seed=12), (20.0, -15.0))
+
+
+def oracle_splitter_classes(net):
+    """Per splitter, the (source, beta*L) classes of the paths into it, each
+    with the splitters on its first path, in the order of a depth-first
+    walk of its own over every path."""
+    classes = {b.id: {} for b in net.beam_splitters}
+    edges_from = {e.start: e for e in net.edges}
+
+    def walk(endpoint, acc, via, source_id):
+        edge = edges_from[endpoint]
+        node = edge.end.partition(".")[0]
+        if node in classes:
+            classes[node].setdefault((source_id, acc + edge.beta_l), via)
+            for out_idx in (0, 1):
+                walk(f"{node}.out{out_idx}", acc + edge.beta_l, via + (node,), source_id)
+
+    for s in net.sources:
+        walk(s.id, 0.0, (), s.id)
+    return classes
+
+
+def assert_audit_matches_oracle(net):
+    """Each violation pairs two classes of the oracle's walk, in its order,
+    with the splitters of each class's first path."""
+    report = check_cancellation(net)
+    expected = [
+        (bs, a, b)
+        for bs, held in sorted(oracle_splitter_classes(net).items())
+        for a, b in itertools.combinations(held.items(), 2)
+        if abs(a[0][1] - b[0][1]) > report.tolerance
+    ]
+    assert [
+        (a.beam_splitter, ((a.source, a.beta_l), a.via), ((b.source, b.beta_l), b.via))
+        for a, b in report.violations
+    ] == expected
+    return report
+
+
+def test_ladder_audit_reports_one_pair_per_pair_of_classes():
+    k = 10
+    report = assert_audit_matches_oracle(ladder(k))
+    # Splitter L<j> holds 2(j + 1) classes of distinct beta*L, and 2^(j+1) paths.
+    assert len(report.violations) == sum(math.comb(2 * j, 2) for j in range(1, k + 1))
+
+
+def test_long_ladder_holds_classes_not_paths():
+    k = 40
+    net = ladder(k)
+    assert max(len(held) for held in net.classes.values()) <= 2 * k
+    assert [len(net.classes[f"L{j}"]) for j in range(k)] == [2 * (j + 1) for j in range(k)]
+    report = check_cancellation(net)
+    assert len(report.violations) == sum(math.comb(2 * j, 2) for j in range(1, k + 1))
+    assert detector_dispersion_spread(net) == (k - 1) * 1e4 + 3e3
 
 
 @st.composite
@@ -622,3 +704,15 @@ def test_random_networks_obey_the_cancellation_rule(net, seed):
     )
     assert report.satisfied == equal_at_detectors
     assert (detector_dispersion_spread(net) <= report.tolerance) == equal_at_detectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=random_networks())
+def test_random_network_audit_matches_a_walk_over_every_path(net):
+    # The pass meets the splitters in topological order, not in the order a
+    # depth-first walk meets the paths; the report must not show it.
+    assert_audit_matches_oracle(net)
+    for (detector, source), terms in oracle_transfer_terms(net).items():
+        index = [s.id for s in net.sources].index(source)
+        held = [beta_l for s, beta_l in net.classes[detector] if s == index]
+        assert held == list(dict.fromkeys(beta_l for _, beta_l in terms))

@@ -754,6 +754,30 @@ def test_presets_run_without_dataclasses_or_numpy_random(tmp_path, preset):
     assert (tmp_path / f"{preset}_manifest.yaml").is_file()
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each count needs
+    # its own process.  Every byte must match but the manifest's record of
+    # the output directory.
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        probe = (
+            "from homsim.cli import main; "
+            f"main(['run', '--preset', 'fig2a', '--out', {str(out)!r}])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = {
+            f.name: [line for line in f.read_text().splitlines() if str(out) not in line]
+            for f in out.iterdir()
+        }
+    assert written["1"] == written["2"]
+
+
 def _splitmix64_normals(count: int) -> list[float]:
     """The first ``count`` normals of the Schmidt test block, in Python ints
     and ``math``: splitmix64 from the seed, 53-bit uniforms in (0, 1],
