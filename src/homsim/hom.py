@@ -399,11 +399,13 @@ def _initial_guess(taus: np.ndarray, probs: np.ndarray) -> tuple[float, float, f
         raise NoDipError("scan baseline is not positive")
     visibility = 1.0 - p_min / baseline
     half_level = baseline - (baseline - p_min) / 2.0
+    # The walk from i_min stops at the first sample not below half depth; a
+    # NaN stops it too.
+    stop = ~(probs < half_level)
 
     def crossing(direction: int) -> float:
-        i = i_min
-        while 0 <= i + direction < n and probs[i + direction] < half_level:
-            i += direction
+        side = stop[i_min + 1 :] if direction > 0 else stop[:i_min][::-1]
+        i = i_min + direction * (int(side.argmax()) if side.any() else len(side))
         j = i + direction
         if j < 0 or j >= n:
             return taus[i]

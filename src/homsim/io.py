@@ -1,8 +1,8 @@
 """Deterministic file writers: CSV ('.' decimals, LF, UTF-8) and sorted JSON.
 
 Identical inputs produce byte-identical files, which the run manifest relies
-on for reproducibility checks.  Only the JSI writer uses numpy, and imports
-it when it runs.
+on for reproducibility checks.  The JSI writer streams its rows, so its extra
+memory is O(N) for an N x N matrix; no writer imports numpy.
 """
 
 from __future__ import annotations
@@ -63,34 +63,42 @@ def write_eigenvalues_csv(path: Path, eigenvalues: np.ndarray) -> None:
 
 def write_jsi_csv(path: Path, jsa: JointSpectralAmplitude) -> None:
     """JSI matrix (rows = signal index, columns = idler index) with a
-    two-line grid-metadata header."""
+    two-line grid-metadata header.
+
+    The rows are streamed: each line is formed from one row of
+    ``jsa.amplitudes``, squared in place to |A|^2 (the bits of
+    ``source.jsi``), and written before the next row is read.  The writer's
+    extra memory is O(N), one row and its line, never the matrix or the file.
+    """
     gs, gi = jsa.grid_signal, jsa.grid_idler
-    header = [
-        f"# signal: center_nm={_fmt(gs.center_wavelength)} n={gs.n_points} "
-        f"spacing_rad_fs={_fmt(gs.spacing)}",
-        f"# idler: center_nm={_fmt(gi.center_wavelength)} n={gi.n_points} "
-        f"spacing_rad_fs={_fmt(gi.spacing)}",
-    ]
-    import numpy as np
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f"# signal: center_nm={_fmt(gs.center_wavelength)} n={gs.n_points} "
+            f"spacing_rad_fs={_fmt(gs.spacing)}\n"
+            f"# idler: center_nm={_fmt(gi.center_wavelength)} n={gi.n_points} "
+            f"spacing_rad_fs={_fmt(gi.spacing)}\n"
+        )
+        for amplitudes in jsa.amplitudes:
+            intensity = abs(amplitudes)
+            intensity *= intensity
+            fh.write(jsi_line(intensity) + "\n")
 
-    from .source import jsi
 
-    intensity = jsi(jsa)
-    # One %-format per row over its band from the first to the last cell that
-    # is not +0.0 (-0.0 prints "-0"); the same text as format(v, ".8g") per cell.
-    nonzero = (intensity != 0) | np.signbit(intensity)
-    n = intensity.shape[1]
-    firsts = nonzero.argmax(axis=1).tolist()
-    ends = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
-    zero_row = ",".join(["0"] * n)
-    lines = header
-    for row, any_nonzero, a, b in zip(intensity, nonzero.any(axis=1), firsts, ends):
-        if not any_nonzero:
-            lines.append(zero_row)
-            continue
-        band = ",".join(["%.8g"] * (b - a)) % tuple(row[a:b].tolist())
-        lines.append("0," * a + band + ",0" * (n - b))
-    write_text(path, "\n".join(lines) + "\n")
+def jsi_line(intensity: np.ndarray) -> str:
+    """One JSI row (a float64 vector) as its CSV line, without the newline.
+
+    One %-format over the band from the first to the last cell that is not
+    +0.0 (-0.0 prints "-0"), and "0" outside it: the same text as
+    ``format(v, ".8g")`` per cell.
+    """
+    n = len(intensity)
+    # +0.0 is the one float64 whose bits are all zero.
+    (band,) = intensity.view("i8").nonzero()
+    if not len(band):
+        return "0," * (n - 1) + "0"
+    a, b = int(band[0]), int(band[-1]) + 1
+    cells = ("%.8g," * (b - a))[:-1] % tuple(intensity[a:b].tolist())
+    return "0," * a + cells + ",0" * (n - b)
 
 
 def gnuplot_scan_script(csv_name: str, title: str) -> str:

@@ -21,7 +21,8 @@ that the run manifest alone reproduces a figure.  The loader is strict:
   for a rank truncation, a threshold <= 1, a delay scan naming one of the
   network's sources, a scan window with tau_min_fs < tau_max_fs, curve
   offsets no longer than length_1_mm, the sections a mode requires, 2 to
-  ``MAX_PHOTONS`` sources for ``network-sim``).
+  ``MAX_PHOTONS`` sources for ``network-sim``, no ``output.emit_*`` flag
+  outside ``two-photon-scan``).
 
 Every problem found is reported, in one ``ScenarioParseError`` whose message
 is ``<origin>: <path>: <problem>; <path>: <problem>; ...``.  The path is the
@@ -311,7 +312,9 @@ class BroadeningConfig(_Section):
 
 
 class OutputConfig(_Section):
-    """Output directory, file basename and optional extra files."""
+    """Output directory, file basename and optional extra files; the extra
+    files (JSI, eigenvalues, gnuplot script) exist only for
+    ``two-photon-scan``."""
 
     directory: str = "."
     basename: str | None = None
@@ -356,6 +359,12 @@ class Scenario(_Section):
             return (), "mode broadening requires a broadening section"
         if self.mode == "visibility-curve" and not self.dispersion.delta_lengths_mm:
             return (), "mode visibility-curve requires dispersion.delta_lengths_mm"
+        if self.mode != "two-photon-scan":
+            for flag in ("emit_jsi", "emit_eigenvalues", "emit_gnuplot"):
+                if getattr(self.output, flag):
+                    return ("output", flag), (
+                        f"applies only to mode two-photon-scan, got mode {self.mode}"
+                    )
         return None
 
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homsim import hom
-from homsim.errors import InvalidArgumentError
+from homsim import hom, io
+from homsim.errors import InvalidArgumentError, NoDipError
 from homsim.network import BeamSplitterNode, DetectorNode, NetworkEdge, NetworkSpec, SourceNode
 from homsim.schmidt import SchmidtDecomposition
 from homsim.source import JointSpectralAmplitude, jsi
@@ -61,6 +61,37 @@ def coincidence_probability(
     return float(hom._probabilities(state1, state2, [delta_beta_l], tau, 0.0, 1)[0, 0])
 
 
+def initial_guess_walk(taus: np.ndarray, probs: np.ndarray) -> tuple[float, float, float, float]:
+    """``hom._initial_guess`` with its half-depth crossings found by walking
+    one sample at a time from the minimum: the oracle of the search."""
+    n = len(taus)
+    edge = max(1, round(0.05 * n))
+    baseline = float(np.mean(np.concatenate([probs[:edge], probs[-edge:]])))
+    p_min = float(probs.min())
+    i_min = int(np.argmin(probs))
+    if baseline <= 0:
+        raise NoDipError("scan baseline is not positive")
+    visibility = 1.0 - p_min / baseline
+    half_level = baseline - (baseline - p_min) / 2.0
+
+    def crossing(direction: int) -> float:
+        i = i_min
+        while 0 <= i + direction < n and probs[i + direction] < half_level:
+            i += direction
+        j = i + direction
+        if j < 0 or j >= n:
+            return taus[i]
+        y0, y1 = probs[i], probs[j]
+        if y1 == y0:
+            return taus[i]
+        return taus[i] + (half_level - y0) / (y1 - y0) * (taus[j] - taus[i])
+
+    width = abs(crossing(+1) - crossing(-1))
+    if width <= 0:
+        width = (taus[-1] - taus[0]) / 4.0
+    return baseline, visibility, float(taus[i_min]), width
+
+
 def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the quadrature-weighted JSA matrix from the kept modes.
 
@@ -71,6 +102,34 @@ def reconstruct(decomp: SchmidtDecomposition) -> np.ndarray:
     cell = decomp.grid_signal.spacing * decomp.grid_idler.spacing
     coeff = np.sqrt(decomp.eigenvalues * scale * cell)
     return (decomp.signal_modes.T * coeff) @ decomp.idler_modes
+
+
+def write_jsi_csv_whole(path, jsa: JointSpectralAmplitude) -> None:
+    """The JSI file as ``io.write_jsi_csv`` writes it, built whole in memory
+    from the N x N intensity: the oracle of the streamed writer."""
+    gs, gi = jsa.grid_signal, jsa.grid_idler
+    header = [
+        f"# signal: center_nm={io._fmt(gs.center_wavelength)} n={gs.n_points} "
+        f"spacing_rad_fs={io._fmt(gs.spacing)}",
+        f"# idler: center_nm={io._fmt(gi.center_wavelength)} n={gi.n_points} "
+        f"spacing_rad_fs={io._fmt(gi.spacing)}",
+    ]
+    intensity = jsi(jsa)
+    # One %-format per row over its band from the first to the last cell that
+    # is not +0.0 (-0.0 prints "-0"); the same text as format(v, ".8g") per cell.
+    nonzero = (intensity != 0) | np.signbit(intensity)
+    n = intensity.shape[1]
+    firsts = nonzero.argmax(axis=1).tolist()
+    ends = (n - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    zero_row = ",".join(["0"] * n)
+    lines = header
+    for row, any_nonzero, a, b in zip(intensity, nonzero.any(axis=1), firsts, ends):
+        if not any_nonzero:
+            lines.append(zero_row)
+            continue
+        band = ",".join(["%.8g"] * (b - a)) % tuple(row[a:b].tolist())
+        lines.append("0," * a + band + ",0" * (n - b))
+    io.write_text(path, "\n".join(lines) + "\n")
 
 
 def marginal_intensity_fwhm(jsa: JointSpectralAmplitude, axis: str = "signal") -> float:

@@ -18,7 +18,9 @@ the default OpenBLAS settings and under ``OPENBLAS_CORETYPE=Prescott``,
 ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``, and
 each bound keeps a margin over the largest difference seen.  A two-photon
 preset enters the same way: its metrics JSON by key, its scan, curve and
-eigenvalue CSVs by column.
+eigenvalue CSVs by column, and its JSI as its two grid-header lines and the
+sums of its rows and of its columns (``row_marginal``,
+``column_marginal``) rather than the N x N cells.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -56,7 +59,9 @@ BOUNDS = {
     "probability": (
         1e-14,
         "as coincidence_probability, one engine call per delay; the largest "
-        "difference measured was 1.3e-15 (Prescott, one thread)",
+        "difference measured was 1.3e-15 (Prescott, one thread).  A "
+        "two-photon scan's chirp-z GEMMs moved by up to 6.7e-16 (Prescott, "
+        "one thread, NPY_DISABLE_CPU_FEATURES)",
     ),
     "outcome_probability_sum_error": (
         1e-14,
@@ -64,6 +69,96 @@ BOUNDS = {
         "1e-16, so only an absolute bound fits; the largest difference "
         "measured was 6.7e-16 (Haswell)",
     ),
+    # Two-photon presets: metrics JSON, scan, curve and eigenvalue CSVs, the
+    # JSI's marginals; the broadening tables.
+    "delta_beta_l_fs2": (0.0, EXACT),
+    "delta_l_mm": (0.0, EXACT),
+    "index": (0.0, EXACT),
+    "length_mm": (0.0, EXACT),
+    "beta_l_fs2": (0.0, EXACT),
+    "transform_limited_fwhm_ps": (0.0, EXACT),
+    "broadened_fwhm_ps": (0.0, EXACT),
+    "tau_fs": (0.0, "the scan's delays, an elementwise linspace; measured bit-identical"),
+    "visibility": (
+        1e-14,
+        "fitted by Levenberg-Marquardt from scan probabilities that follow the "
+        "BLAS kernel set; the largest difference measured was 6.7e-16 (Sandybridge)",
+    ),
+    "raw_visibility": (
+        1e-14,
+        "1 - min/baseline of the scan probabilities; the largest difference "
+        "measured was 1.1e-15 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "baseline": (
+        1e-14,
+        "the fitted baseline, near 0.5; measured bit-identical, and the bound "
+        "is that of the visibility fitted with it",
+    ),
+    "fwhm_ps": (
+        1e-14,
+        "the fitted width, up to 1.3 ps; the largest difference measured was "
+        "4.4e-16 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "fit_residual": (
+        1e-16,
+        "RMS of the fit's residuals, up to 2.5e-5; the largest difference "
+        "measured was 5.5e-18 (Prescott)",
+    ),
+    "center_fs": (
+        1e-10,
+        "the fitted dip centre, a zero at rounding level (|value| <= 9.2e-13 "
+        "fs) whose digits are noise, so only an absolute bound fits; the "
+        "largest difference measured was 1.7e-13 fs (Prescott, one thread, "
+        "NPY_DISABLE_CPU_FEATURES), and the bound is 1/500000 of the 50 fs "
+        "scan step",
+    ),
+    "purity": (
+        1e-14,
+        "sum of the squared kept eigenvalues, a numpy reduction whose order "
+        "may follow the SIMD width; measured bit-identical",
+    ),
+    "schmidt_number": (
+        1e-14,
+        "1 / the sum of the squared eigenvalues, up to 1.4; measured bit-identical",
+    ),
+    "truncation_tail_mass": (
+        1e-14,
+        "1 - the kept eigenvalue mass, near 9.2e-4; the largest difference "
+        "measured was 3.3e-16 (NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "eigenvalue": (
+        1e-15,
+        "a kept Schmidt eigenvalue from the randomized SVD's GEMMs; the largest "
+        "difference measured was 1.0e-17 (Prescott, one thread, "
+        "NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "visibility_mixed": (
+        1e-14,
+        "as visibility, one fit per curve offset; the largest difference "
+        "measured was 4.4e-16 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "visibility_pure": (
+        1e-14,
+        "as visibility; the largest difference measured was 3.3e-16 "
+        "(NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "fwhm_ps_mixed": (
+        1e-14,
+        "as fwhm_ps, up to 2.2 ps; the largest difference measured was 8.9e-16 "
+        "(Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "fwhm_ps_pure": (
+        1e-14,
+        "as fwhm_ps; the largest difference measured was 4.4e-16 "
+        "(NPY_DISABLE_CPU_FEATURES)",
+    ),
+    "row_marginal": (
+        0.01,
+        "fsum of one JSI row's printed cells (8 significant digits, up to "
+        "1.8e4, so a flip of a last digit moves a sum by up to 1e-3); the JSI "
+        "was bit-identical under every setting, and the bound admits ten flips",
+    ),
+    "column_marginal": (0.01, "as row_marginal, over one JSI column"),
 }
 
 # The README's cascade: condition (i) broken by the 226812 fs^2 on s3's arm.
@@ -151,6 +246,10 @@ def _ladder_check(k: int) -> dict:
 
 
 SCENARIOS = {
+    **{
+        name: {"preset": name}
+        for name in ("fig1c", "fig2a", "fig2b", "fig2c", "fig3", "broadening-6m", "broadening-28m")
+    },
     "fig5-cond-i": {"preset": "fig5-cond-i"},
     "fig5-cond-ii": {"preset": "fig5-cond-ii"},
     "readme-cascade-sim": {"scenario": README_CASCADE},
@@ -170,6 +269,16 @@ def _cell(text: str):
 def _parse(path: Path):
     if path.suffix == ".json":
         return json.loads(path.read_text(encoding="utf-8"))
+    if path.name.endswith("_jsi.csv"):
+        # The N x N matrix as its grid header and its two marginals.
+        with open(path, encoding="utf-8") as fh:
+            header = [next(fh).rstrip("\n"), next(fh).rstrip("\n")]
+            rows = [[float(cell) for cell in line.split(",")] for line in fh]
+        return {
+            "header": header,
+            "row_marginal": [math.fsum(row) for row in rows],
+            "column_marginal": [math.fsum(column) for column in zip(*rows)],
+        }
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     return {name: [_cell(row[i]) for row in rows] for i, name in enumerate(header)}

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DispersiveElement, coincidence_probability, gvd_phase, pure_state
+from helpers import (
+    DispersiveElement,
+    coincidence_probability,
+    gvd_phase,
+    initial_guess_walk,
+    pure_state,
+)
 from homsim import hom, runner
 from homsim.constants import FOUR_LN2
 from homsim.errors import (
@@ -483,6 +489,33 @@ def test_fit_recovers_exact_gaussian_dip():
     assert metrics.fwhm * 1000 == pytest.approx(340.0, rel=1e-6)
     assert abs(metrics.center_fs) < 1e-3
     assert metrics.fit_residual < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_initial_guess_matches_the_sample_walk(seed):
+    # Noisy dips anywhere in the window, minima at either edge, NaN samples
+    # (which stop the walk) and plateaus at exactly half depth.
+    rng = np.random.default_rng(seed)
+    for k in range(300):
+        n = int(rng.integers(3, 80))
+        taus = np.linspace(-1000.0, 1000.0, n)
+        width = rng.uniform(20.0, 1500.0)
+        center = rng.uniform(-1e3, 1e3)
+        probs = 0.5 * (1.0 - rng.uniform(0.0, 1.0) * np.exp(-(((taus - center) / width) ** 2)))
+        probs += rng.normal(0.0, 0.02, n)
+        if k % 3 == 0:
+            probs[rng.integers(0, n, size=2)] = np.nan
+        if k % 5 == 0:
+            probs[rng.choice([0, n - 1, int(rng.integers(0, n))])] = -0.1
+        if k % 7 == 0:
+            probs = np.round(probs, 1)
+        try:
+            want = initial_guess_walk(taus, probs)
+        except NoDipError:
+            with pytest.raises(NoDipError):
+                hom._initial_guess(taus, probs)
+            continue
+        np.testing.assert_array_equal(hom._initial_guess(taus, probs), want)
 
 
 def test_flat_scan_has_no_dip():

@@ -13,10 +13,11 @@ import yaml
 import homsim
 import homsim.network
 import homsim.runner
-from helpers import coincidence_probability
+from helpers import coincidence_probability, write_jsi_csv_whole
 from homsim.cli import main
 from homsim.runner import run
 from homsim.scenario import dump, list_presets, load_preset, parse_scenario, scenario_from_dict
+from homsim.source import JointSpectralAmplitude
 from homsim.spectral import fwhm_wavelength_to_angular, gaussian_mode, make_grid
 
 NETWORK_SIM = {
@@ -584,14 +585,17 @@ CURVE = {
     [
         ("scan", {"tau_min_fs": 100.0, "tau_max_fs": -100.0}, "scan"),
         ("dispersion", {"length_1_mm": 400.0}, "dispersion.delta_lengths_mm"),
+        ("output", {"emit_jsi": True}, "output.emit_jsi"),
+        ("output", {"emit_eigenvalues": True}, "output.emit_eigenvalues"),
+        ("output", {"emit_gnuplot": True}, "output.emit_gnuplot"),
     ],
-    ids=["inverted-scan-window", "offset-past-first-fiber"],
+    ids=["inverted-scan-window", "offset-past-first-fiber", "jsi", "eigenvalues", "gnuplot"],
 )
 def test_cli_bad_curve_configuration_is_rejected_before_writing(
     tmp_path, capsys, section, values, path
 ):
     scenario = copy.deepcopy(CURVE)
-    scenario[section].update(values)
+    scenario.setdefault(section, {}).update(values)
     scenario_path = tmp_path / "curve.yaml"
     scenario_path.write_text(yaml.safe_dump(scenario), encoding="utf-8")
     out = tmp_path / "out"
@@ -882,10 +886,8 @@ def test_public_names_resolve_to_their_home_modules():
         exec("from homsim import SpectralFunction", {})
 
 
-def test_jsi_writer_matches_per_cell_format(tmp_path, monkeypatch):
-    from homsim import io, source
-    from homsim.source import JointSpectralAmplitude
-    from homsim.spectral import make_grid
+def test_jsi_writer_matches_per_cell_format():
+    from homsim import io
 
     special = [0.0, -0.0, 5e-324, 1e-300, 1.23456789e-5, 123456789.0, 0.1, 2.5e-308, 1e22]
     # The writer formats each row's band between its first and last cell that
@@ -898,13 +900,80 @@ def test_jsi_writer_matches_per_cell_format(tmp_path, monkeypatch):
     banded[5] = -0.0
     # Eight rows, each a different rotation of the special values, then the bands.
     values = np.vstack([np.resize(np.array(special), (8, 8)), banded])
-    grid = make_grid(780.0, 10.0, 4.0, 8)
-    jsa = JointSpectralAmplitude(grid, grid, np.ones((8, 8)))
-    monkeypatch.setattr(source, "jsi", lambda _: values)
-    io.write_jsi_csv(tmp_path / "jsi.csv", jsa)
-    lines = (tmp_path / "jsi.csv").read_text(encoding="utf-8").split("\n")
-    assert lines[2:] == [",".join(format(v, ".8g") for v in row) for row in values] + [""]
-    assert lines[2].split(",")[:2] == ["0", "-0"]
-    assert lines[10] == ",".join(["0"] * 8)
-    assert lines[11] == "0,0,0,0.25,0,0,0,0"
-    assert lines[14] == "-0,0,0,0,0,0,0,4.9406565e-324"
+    # |A|^2 never holds -0.0, so the rows go straight to the writer's row seam.
+    lines = [io.jsi_line(row) for row in values]
+    assert lines == [",".join(format(v, ".8g") for v in row) for row in values]
+    assert lines[0].split(",")[:2] == ["0", "-0"]
+    assert lines[8] == ",".join(["0"] * 8)
+    assert lines[9] == "0,0,0,0.25,0,0,0,0"
+    assert lines[12] == "-0,0,0,0,0,0,0,4.9406565e-324"
+
+
+def _fig1c_jsa(n_points):
+    from homsim.runner import _filtered_jsa
+    from homsim.scenario import replace
+
+    sc = load_preset("fig1c")
+    return _filtered_jsa(
+        replace(sc, source=replace(sc.source, grid=replace(sc.source.grid, n_points=n_points)))
+    )
+
+
+def _edge_band_jsa():
+    # Rows whose band is empty, one cell at either edge, starts or ends at an
+    # edge, or spans the whole row.
+    amp = np.zeros((8, 9))
+    amp[1, 0] = amp[2, 8] = 1.0
+    amp[3, :3] = amp[4, 2:] = amp[5] = 0.5
+    amp[6, [0, 8]] = -2.0
+    grid_signal, grid_idler = make_grid(780.0, 10.0, 4.0, 8), make_grid(780.0, 10.0, 4.0, 9)
+    return JointSpectralAmplitude(grid_signal, grid_idler, amp)
+
+
+def _random_jsa(complex_amplitudes):
+    rng = np.random.default_rng(22)
+    amp = rng.normal(size=(96, 64))
+    if complex_amplitudes:
+        amp = amp + 1j * rng.normal(size=amp.shape)
+    grid_signal, grid_idler = make_grid(780.0, 10.0, 4.0, 96), make_grid(790.0, 8.0, 3.0, 64)
+    return JointSpectralAmplitude(grid_signal, grid_idler, amp)
+
+
+JSI_CASES = {
+    "fig1c-512": lambda: _fig1c_jsa(512),
+    "fig1c-1024": lambda: _fig1c_jsa(1024),
+    "unequal-grids": lambda: _random_jsa(False),
+    "complex": lambda: _random_jsa(True),
+    "edge-bands": _edge_band_jsa,
+}
+
+
+@pytest.mark.parametrize("case", JSI_CASES)
+def test_streamed_jsi_writer_matches_whole_matrix_writer(tmp_path, case):
+    from homsim import io
+
+    jsa = JSI_CASES[case]()
+    io.write_jsi_csv(tmp_path / "streamed.csv", jsa)
+    write_jsi_csv_whole(tmp_path / "whole.csv", jsa)
+    assert read(tmp_path / "streamed.csv") == read(tmp_path / "whole.csv")
+
+
+def test_jsi_writer_memory_is_one_row(tmp_path):
+    # The whole-matrix writer traces ~16 MB here (~29 MB on fig1c at this N;
+    # the JSA is 8 MB).  A diagonal keeps the traced formatting quick, and
+    # one full row gives the longest line.
+    import tracemalloc
+
+    from homsim import io
+
+    amp = np.eye(1024)
+    amp[100] = 1.0
+    grid = make_grid(780.0, 10.0, 4.0, 1024)
+    jsa = JointSpectralAmplitude(grid, grid, amp)
+    tracemalloc.start()
+    try:
+        io.write_jsi_csv(tmp_path / "jsi.csv", jsa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

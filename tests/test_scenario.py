@@ -120,6 +120,39 @@ def test_mode_requirements_enforced():
         scenario_from_dict({"name": "x", "mode": "visibility-curve"})
 
 
+SPLITTER = {
+    "sources": [{"id": "a"}, {"id": "b"}],
+    "beam_splitters": [{"id": "A"}],
+    "detectors": ["d1", "d2"],
+    "edges": [
+        {"start": "a", "end": "A.in0"},
+        {"start": "b", "end": "A.in1"},
+        {"start": "A.out0", "end": "d1"},
+        {"start": "A.out1", "end": "d2"},
+    ],
+}
+
+
+@pytest.mark.parametrize("flag", ["emit_jsi", "emit_eigenvalues", "emit_gnuplot"])
+@pytest.mark.parametrize(
+    "mode,section",
+    [
+        ("visibility-curve", {"dispersion": {"delta_lengths_mm": [0.0]}}),
+        ("broadening", {"broadening": {"lengths_mm": [1000.0]}}),
+        ("network-check", {"network": SPLITTER}),
+        ("network-sim", {"network": SPLITTER}),
+    ],
+)
+def test_emit_flags_apply_only_to_two_photon_scans(mode, section, flag):
+    data = {"name": "x", "mode": mode, **section}
+    assert not getattr(scenario_from_dict(copy.deepcopy(data)).output, flag)
+    data["output"] = {flag: True}
+    with pytest.raises(ScenarioParseError, match=rf"<memory>: output\.{flag}: applies only to "):
+        scenario_from_dict(data)
+    data.update(mode="two-photon-scan", name="y")
+    assert getattr(scenario_from_dict(data).output, flag)
+
+
 def test_manifest_wrapper_is_accepted():
     inner = yaml.safe_load(MINIMAL)
     sc = scenario_from_dict({"scenario": inner, "meta": {"outputs": []}})
