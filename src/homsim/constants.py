@@ -37,6 +37,11 @@ FOUR_LN2 = 4.0 * math.log(2.0)
 DEFAULT_GVM_SIGNAL = 340.0
 DEFAULT_GVM_IDLER = 120.0
 
+# Schmidt truncation: keep eigenvalues until this cumulative mass by default,
+# then renormalize (``schmidt.schmidt_decompose`` and the scenario's
+# ``truncation.value``).
+DEFAULT_MASS = 0.999
+
 
 def fwhm_wavelength_to_angular(delta_lambda: float, center_lambda: float) -> float:
     """Convert a wavelength FWHM (nm) at ``center_lambda`` (nm) to rad/fs.

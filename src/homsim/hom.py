@@ -76,7 +76,7 @@ import numpy as np
 from .constants import FOUR_LN2
 from .errors import FitFailureError, InvalidArgumentError, NoDipError
 from .frozen import Frozen
-from .spectral import HeraldedState
+from .spectral import HeraldedState, frozen_array
 
 # Dip fit: iteration cap, and the largest scaled parameter step (B by |B|,
 # V by 1, t0 and w by w) at which the fit has converged.
@@ -94,12 +94,13 @@ class ScanConfig(Frozen):
     tau_max: float
     n_steps: int
 
-    def __init__(self, tau_min: float, tau_max: float, n_steps: int) -> None:
-        if tau_min >= tau_max:
-            raise InvalidArgumentError(f"tau_min must be < tau_max, got [{tau_min}, {tau_max}]")
-        if n_steps < 3:
-            raise InvalidArgumentError(f"n_steps must be >= 3, got {n_steps}")
-        self.__dict__.update(tau_min=tau_min, tau_max=tau_max, n_steps=n_steps)
+    def __post_init__(self) -> None:
+        if self.tau_min >= self.tau_max:
+            raise InvalidArgumentError(
+                f"tau_min must be < tau_max, got [{self.tau_min}, {self.tau_max}]"
+            )
+        if self.n_steps < 3:
+            raise InvalidArgumentError(f"n_steps must be >= 3, got {self.n_steps}")
 
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_min, self.tau_max, self.n_steps)
@@ -111,9 +112,9 @@ class InterferenceScan(Frozen):
     taus: np.ndarray
     probabilities: np.ndarray
 
-    def __init__(self, taus: np.ndarray, probabilities: np.ndarray) -> None:
-        taus = np.asarray(taus, dtype=float)
-        probs = np.asarray(probabilities, dtype=float)
+    def __post_init__(self) -> None:
+        taus = frozen_array(self.taus, float)
+        probs = frozen_array(self.probabilities, float)
         if taus.shape != probs.shape:
             raise InvalidArgumentError("taus and probabilities must match in length")
         if not np.all(np.isfinite(taus)):
@@ -123,8 +124,6 @@ class InterferenceScan(Frozen):
                 f"probabilities outside [0, 1/2] or not finite: "
                 f"min={probs.min()!r} max={probs.max()!r}"
             )
-        taus.setflags(write=False)
-        probs.setflags(write=False)
         self.__dict__.update(taus=taus, probabilities=probs)
 
 
@@ -145,27 +144,11 @@ class DipMetrics(Frozen):
     raw_visibility: float
     center_fs: float
 
-    def __init__(
-        self,
-        visibility: float,
-        fwhm: float,
-        baseline: float,
-        fit_residual: float,
-        raw_visibility: float,
-        center_fs: float,
-    ) -> None:
-        if not 0.0 <= visibility <= 1.0:
-            raise InvalidArgumentError(f"visibility must lie in [0, 1], got {visibility}")
-        if fwhm <= 0:
-            raise InvalidArgumentError(f"fwhm must be > 0, got {fwhm}")
-        self.__dict__.update(
-            visibility=visibility,
-            fwhm=fwhm,
-            baseline=baseline,
-            fit_residual=fit_residual,
-            raw_visibility=raw_visibility,
-            center_fs=center_fs,
-        )
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.visibility <= 1.0:
+            raise InvalidArgumentError(f"visibility must lie in [0, 1], got {self.visibility}")
+        if self.fwhm <= 0:
+            raise InvalidArgumentError(f"fwhm must be > 0, got {self.fwhm}")
 
 
 def _smooth_length(n: int) -> int:

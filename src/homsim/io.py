@@ -66,8 +66,8 @@ def write_jsi_csv(path: Path, jsa: JointSpectralAmplitude) -> None:
     two-line grid-metadata header.
 
     The rows are streamed: each line is formed from one row of
-    ``jsa.amplitudes``, squared in place to |A|^2 (the bits of
-    ``source.jsi``), and written before the next row is read.  The writer's
+    ``jsa.amplitudes``, squared in place to |A|^2, and written before the
+    next row is read.  The writer's
     extra memory is O(N), one row and its line, never the matrix or the file.
     """
     gs, gi = jsa.grid_signal, jsa.grid_idler

@@ -79,10 +79,7 @@ class SourceNode(Frozen):
     """Single-photon source; ``delay`` (fs) shifts its photon's arrival."""
 
     id: str
-    delay: float
-
-    def __init__(self, id: str, delay: float = 0.0) -> None:
-        self.__dict__.update(id=id, delay=delay)
+    delay: float = 0.0
 
 
 class BeamSplitterNode(Frozen):
@@ -93,26 +90,23 @@ class BeamSplitterNode(Frozen):
     """
 
     id: str
-    unitary: tuple[tuple[complex, ...], ...]
+    unitary: tuple[tuple[complex, ...], ...] = SPLITTER_50_50
 
-    def __init__(self, id: str, unitary: Sequence[Sequence[complex]] = SPLITTER_50_50) -> None:
-        u = tuple(tuple(map(complex, row)) for row in unitary)
+    def __post_init__(self) -> None:
+        u = tuple(tuple(map(complex, row)) for row in self.unitary)
         if tuple(map(len, u)) != (2, 2):
-            raise InvalidArgumentError(f"beam splitter {id}: unitary must be 2x2")
+            raise InvalidArgumentError(f"beam splitter {self.id}: unitary must be 2x2")
         for i, j in itertools.product((0, 1), repeat=2):
             entry = u[i][0] * u[j][0].conjugate() + u[i][1] * u[j][1].conjugate()
             if not abs(entry - float(i == j)) <= 1e-12:  # NaN fails too
-                raise InvalidArgumentError(f"beam splitter {id}: matrix is not unitary")
-        self.__dict__.update(id=id, unitary=u)
+                raise InvalidArgumentError(f"beam splitter {self.id}: matrix is not unitary")
+        self.__dict__["unitary"] = u
 
 
 class DetectorNode(Frozen):
     """Photon counter at the end of a path."""
 
     id: str
-
-    def __init__(self, id: str) -> None:
-        self.__dict__.update(id=id)
 
 
 class NetworkEdge(Frozen):
@@ -125,10 +119,7 @@ class NetworkEdge(Frozen):
 
     start: str
     end: str
-    beta_l: float
-
-    def __init__(self, start: str, end: str, beta_l: float = 0.0) -> None:
-        self.__dict__.update(start=start, end=end, beta_l=beta_l)
+    beta_l: float = 0.0
 
 
 class PathDispersion(Frozen):
@@ -139,12 +130,7 @@ class PathDispersion(Frozen):
     source: str
     beam_splitter: str
     beta_l: float
-    via: tuple[str, ...]
-
-    def __init__(
-        self, source: str, beam_splitter: str, beta_l: float, via: tuple[str, ...] = ()
-    ) -> None:
-        self.__dict__.update(source=source, beam_splitter=beam_splitter, beta_l=beta_l, via=via)
+    via: tuple[str, ...] = ()
 
 
 class CancellationReport(Frozen):
@@ -155,14 +141,6 @@ class CancellationReport(Frozen):
     satisfied: bool
     violations: tuple[tuple[PathDispersion, PathDispersion], ...]
     tolerance: float
-
-    def __init__(
-        self,
-        satisfied: bool,
-        violations: tuple[tuple[PathDispersion, PathDispersion], ...],
-        tolerance: float,
-    ) -> None:
-        self.__dict__.update(satisfied=satisfied, violations=violations, tolerance=tolerance)
 
     def to_json_dict(self) -> dict:
         return {

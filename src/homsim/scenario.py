@@ -33,9 +33,11 @@ at its section, and a rule of the whole scenario without a path.
 The sections are immutable: a run resolves its defaults into a new scenario
 with ``replace``, and ``dump`` gives the plain form written to the run
 manifest.  A section class declares its fields as annotations with an
-optional default; :class:`_Section` reads them once, when the class is
-created, and every section is built through one keyword-only ``__init__``,
-so no code is generated per class.
+optional default, as every value class does: ``frozen.Frozen`` reads them
+once, when the class is created, and its one constructor builds every
+section and value class, so no code is generated per class.  Sections take
+keyword arguments only, and a ``_bounded`` default leaves its bound in the
+class's ``_bounds``; private annotations such as ``_bounds`` are not fields.
 """
 
 import sys
@@ -46,12 +48,10 @@ from typing import Literal
 
 import yaml
 
-from .constants import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL
+from .constants import DEFAULT_GVM_IDLER, DEFAULT_GVM_SIGNAL, DEFAULT_MASS
 from .errors import ScenarioNotFoundError, ScenarioParseError
-from .frozen import Frozen
+from .frozen import REQUIRED, Frozen
 from .network import MAX_PHOTONS
-
-_REQUIRED = object()  # the default of a field without one
 
 
 class _Bounded:
@@ -61,7 +61,7 @@ class _Bounded:
         self.default, self.bound = default, bound
 
 
-def _bounded(default=_REQUIRED, **bound):
+def _bounded(default=REQUIRED, **bound):
     """A field with a ``gt`` or ``ge`` bound, required when no default is given."""
     return _Bounded(default, bound)
 
@@ -69,44 +69,25 @@ def _bounded(default=_REQUIRED, **bound):
 class _Section(Frozen):
     """Base of the scenario sections.
 
-    ``_fields`` holds ``(name, type, default, bound)`` for each annotated
-    field, in declaration order; a section is built with keyword arguments
-    only, and an omitted field takes its default.  Sections are never
-    compared or printed, so they compare by identity.
+    ``Frozen`` reads the fields; a ``_bounded`` default leaves its bound in
+    ``_bounds``, by field name.  A section is built with keyword arguments
+    only.
     """
 
-    _fields: tuple = ()
+    _bounds: dict = {}
 
     def __init_subclass__(cls) -> None:
-        # ``cls.__annotations__`` holds the class's own annotations only (not a
-        # base's) from Python 3.10 on; from 3.14 on the class dict keeps an
-        # annotate function instead of an ``__annotations__`` entry, and this
-        # attribute evaluates it.
-        annotations = cls.__annotations__
-        if not annotations:
+        cls._bounds = {}
+        for name, value in list(cls.__dict__.items()):
+            if isinstance(value, _Bounded):
+                cls._bounds[name] = value.bound
+                setattr(cls, name, value.default)
+        super().__init_subclass__()
+        if not cls._fields:
             raise TypeError(f"scenario section {cls.__name__} declares no fields")
-        fields = []
-        for name, tp in annotations.items():
-            default = cls.__dict__.get(name, _REQUIRED)
-            bound = {}
-            if isinstance(default, _Bounded):
-                default, bound = default.default, default.bound
-            if name in cls.__dict__:
-                delattr(cls, name)  # the default lives in _fields
-            fields.append((name, tp, default, bound))
-        cls._fields = tuple(fields)
 
     def __init__(self, **values) -> None:
-        for name, _, default, _ in self._fields:
-            value = values.pop(name, default)
-            if value is _REQUIRED:
-                raise TypeError(f"{type(self).__name__}() missing keyword argument {name!r}")
-            self.__dict__[name] = value
-        if values:
-            raise TypeError(
-                f"{type(self).__name__}() got an unexpected keyword argument "
-                f"{next(iter(values))!r}"
-            )
+        super().__init__(**values)
 
 
 def replace(section: _Section, **changes) -> _Section:
@@ -192,7 +173,7 @@ class TruncationConfig(_Section):
     """Schmidt truncation rule: a kept mass, rank or eigenvalue threshold."""
 
     kind: Literal["mass", "rank", "threshold"] = "mass"
-    value: float = 0.999
+    value: float = DEFAULT_MASS
 
     def rule_violation(self) -> tuple[tuple, str] | None:
         if self.kind == "rank" and not (self.value >= 1 and self.value.is_integer()):
@@ -426,16 +407,16 @@ def _load_section(cls, data, path: tuple, errors: list[tuple]):
         return None
     n_errors = len(errors)
     values = {}
-    for name, tp, default, bound in cls._fields:
+    for name, tp, default in cls._fields:
         key = path + (name,)
         if name not in data:
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 errors.append((key, "required"))
             continue
         before = len(errors)
         values[name] = value = _load(tp, data[name], key, errors)
-        if len(errors) == before and value is not None:
-            problem = _bound_violation(value, bound)
+        if len(errors) == before and value is not None and name in cls._bounds:
+            problem = _bound_violation(value, cls._bounds[name])
             if problem is not None:
                 errors.append((key, problem))
     names = {name for name, *_ in cls._fields}
@@ -498,6 +479,10 @@ def parse_scenario(path: str | Path) -> Scenario:
         text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioNotFoundError(f"scenario file not found: {p}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -55,13 +55,11 @@ import math
 
 import numpy as np
 
+from .constants import DEFAULT_MASS
 from .errors import DegenerateStateError, InvalidArgumentError
 from .frozen import Frozen
 from .source import JointSpectralAmplitude
-from .spectral import FrequencyGrid, HeraldedState
-
-# Keep eigenvalues until this cumulative mass by default, then renormalize.
-DEFAULT_MASS = 0.999
+from .spectral import FrequencyGrid, HeraldedState, frozen_array
 
 # A discarded eigenvalue mass above this sets ``truncation_warning``.
 TRUNCATION_WARNING_MASS = 0.05
@@ -98,41 +96,20 @@ class SchmidtDecomposition(Frozen):
     idler_modes: np.ndarray
     grid_signal: FrequencyGrid
     grid_idler: FrequencyGrid
-    tail_mass: float
-    truncation_warning: bool
+    tail_mass: float = 0.0
+    truncation_warning: bool = False
 
-    def __init__(
-        self,
-        eigenvalues: np.ndarray,
-        signal_modes: np.ndarray,
-        idler_modes: np.ndarray,
-        grid_signal: FrequencyGrid,
-        grid_idler: FrequencyGrid,
-        tail_mass: float = 0.0,
-        truncation_warning: bool = False,
-    ) -> None:
-        ev = np.asarray(eigenvalues, dtype=float)
-        ev.setflags(write=False)
-        fields = {"eigenvalues": ev}
-        for name, modes, grid in (
-            ("signal_modes", signal_modes, grid_signal),
-            ("idler_modes", idler_modes, grid_idler),
-        ):
-            modes = np.ascontiguousarray(modes, dtype=complex)
+    def __post_init__(self) -> None:
+        fields = self.__dict__
+        ev = fields["eigenvalues"] = frozen_array(self.eigenvalues, float)
+        for name, grid in (("signal_modes", self.grid_signal), ("idler_modes", self.grid_idler)):
+            modes = frozen_array(fields[name], complex)
             if modes.shape != (len(ev), grid.n_points):
                 raise InvalidArgumentError(
                     f"{name} shape {modes.shape} does not match {len(ev)} eigenvalues "
                     f"on a grid of {grid.n_points} points"
                 )
-            modes.setflags(write=False)
             fields[name] = modes
-        self.__dict__.update(
-            fields,
-            grid_signal=grid_signal,
-            grid_idler=grid_idler,
-            tail_mass=tail_mass,
-            truncation_warning=truncation_warning,
-        )
 
     @property
     def rank(self) -> int:

@@ -62,24 +62,19 @@ class PumpSpectrum(Frozen):
     intensity FWHM follows from the 0.441 Gaussian time-bandwidth product.
     """
 
-    center_wavelength: float
-    pulse_duration_fwhm: float
+    center_wavelength: float = 390.0
+    pulse_duration_fwhm: float = 140.0
 
-    def __init__(
-        self, center_wavelength: float = 390.0, pulse_duration_fwhm: float = 140.0
-    ) -> None:
+    def __post_init__(self) -> None:
         # Written ``not x > 0`` so that NaN fails too, here and below.
-        if not pulse_duration_fwhm > 0:
+        if not self.pulse_duration_fwhm > 0:
             raise InvalidArgumentError(
-                f"pulse_duration_fwhm must be > 0, got {pulse_duration_fwhm}"
+                f"pulse_duration_fwhm must be > 0, got {self.pulse_duration_fwhm}"
             )
-        if not center_wavelength > 0:
+        if not self.center_wavelength > 0:
             raise InvalidArgumentError(
-                f"center_wavelength must be > 0, got {center_wavelength}"
+                f"center_wavelength must be > 0, got {self.center_wavelength}"
             )
-        self.__dict__.update(
-            center_wavelength=center_wavelength, pulse_duration_fwhm=pulse_duration_fwhm
-        )
 
     @property
     def angular_fwhm(self) -> float:
@@ -96,31 +91,22 @@ class PhaseMatching(Frozen):
     exact sinc(x) or its Gaussian approximation exp(-0.193 x^2).
     """
 
-    crystal_length: float
-    model: str
-    gvm_signal: float
-    gvm_idler: float
+    crystal_length: float = 1.0
+    model: str = "gaussian-approx"
+    gvm_signal: float = DEFAULT_GVM_SIGNAL
+    gvm_idler: float = DEFAULT_GVM_IDLER
 
-    def __init__(
-        self,
-        crystal_length: float = 1.0,
-        model: str = "gaussian-approx",
-        gvm_signal: float = DEFAULT_GVM_SIGNAL,
-        gvm_idler: float = DEFAULT_GVM_IDLER,
-    ) -> None:
-        if not crystal_length > 0:
+    def __post_init__(self) -> None:
+        if not self.crystal_length > 0:
             raise InvalidArgumentError(
-                f"crystal_length must be > 0, got {crystal_length}"
+                f"crystal_length must be > 0, got {self.crystal_length}"
             )
-        if model not in ("sinc", "gaussian-approx"):
-            raise InvalidArgumentError(f"unknown phase-matching model {model!r}")
-        if gvm_signal == gvm_idler:
+        if self.model not in ("sinc", "gaussian-approx"):
+            raise InvalidArgumentError(f"unknown phase-matching model {self.model!r}")
+        if self.gvm_signal == self.gvm_idler:
             raise InvalidArgumentError(
                 "gvm_signal and gvm_idler must differ (type-II asymmetry)"
             )
-        self.__dict__.update(
-            crystal_length=crystal_length, model=model, gvm_signal=gvm_signal, gvm_idler=gvm_idler
-        )
 
 
 class BandpassFilter(Frozen):
@@ -128,18 +114,17 @@ class BandpassFilter(Frozen):
 
     center_wavelength: float
     fwhm: float
-    shape: str
+    shape: str = "gaussian"
 
-    def __init__(self, center_wavelength: float, fwhm: float, shape: str = "gaussian") -> None:
-        if not fwhm > 0:
-            raise InvalidArgumentError(f"filter fwhm must be > 0, got {fwhm}")
-        if not center_wavelength > 0:
+    def __post_init__(self) -> None:
+        if not self.fwhm > 0:
+            raise InvalidArgumentError(f"filter fwhm must be > 0, got {self.fwhm}")
+        if not self.center_wavelength > 0:
             raise InvalidArgumentError(
-                f"filter center_wavelength must be > 0, got {center_wavelength}"
+                f"filter center_wavelength must be > 0, got {self.center_wavelength}"
             )
-        if shape not in ("gaussian", "flattop"):
-            raise InvalidArgumentError(f"unknown filter shape {shape!r}")
-        self.__dict__.update(center_wavelength=center_wavelength, fwhm=fwhm, shape=shape)
+        if self.shape not in ("gaussian", "flattop"):
+            raise InvalidArgumentError(f"unknown filter shape {self.shape!r}")
 
     def amplitude_transmission(self, grid: FrequencyGrid) -> np.ndarray:
         """sqrt(T) sampled on ``grid`` (detunings relative to the grid carrier)."""
@@ -172,14 +157,13 @@ class JointSpectralAmplitude(Frozen):
     grid_idler: FrequencyGrid
     amplitudes: np.ndarray
 
-    def __init__(
-        self, grid_signal: FrequencyGrid, grid_idler: FrequencyGrid, amplitudes: np.ndarray
-    ) -> None:
-        amp = np.asarray(amplitudes, dtype=complex if np.iscomplexobj(amplitudes) else float)
-        scale = _inverse_norm(amp, grid_signal, grid_idler)
+    def __post_init__(self) -> None:
+        amp = self.amplitudes
+        amp = np.asarray(amp, dtype=complex if np.iscomplexobj(amp) else float)
+        scale = _inverse_norm(amp, self.grid_signal, self.grid_idler)
         amp = amp * scale  # a new array: the caller's is never touched
         amp.setflags(write=False)
-        self.__dict__.update(grid_signal=grid_signal, grid_idler=grid_idler, amplitudes=amp)
+        self.__dict__["amplitudes"] = amp
 
     @property
     def norm(self) -> float:
@@ -322,10 +306,3 @@ def _filtered_jsa(
         raise DegenerateFilterError(
             "bandpass filters annihilate the joint spectral amplitude"
         ) from exc
-
-
-def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
-    """Joint spectral intensity |A|^2 (non-negative, integrates to 1)."""
-    x = np.abs(jsa.amplitudes)
-    x *= x  # the bits of ``** 2`` without a second N_s x N_i array
-    return x

@@ -18,6 +18,24 @@ from .errors import IncompatibleGridError, InvalidArgumentError
 from .frozen import Frozen
 
 
+def frozen_array(value, dtype) -> np.ndarray:
+    """``value`` as a read-only C-ordered array of ``dtype`` that no caller
+    can write to.  An array that already is one and owns its memory (the
+    array of another value) is shared; anything else is copied, so the
+    caller's array stays writable and writing to it cannot change a value."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.dtype == dtype
+        and value.base is None
+        and not value.flags.writeable
+        and value.flags.c_contiguous
+    ):
+        return value
+    array = np.array(value, dtype=dtype, order="C")
+    array.setflags(write=False)
+    return array
+
+
 class FrequencyGrid(Frozen):
     """Uniform detuning grid, symmetric about zero, around a carrier wavelength.
 
@@ -33,22 +51,17 @@ class FrequencyGrid(Frozen):
     spacing: float
     detunings: np.ndarray
 
-    def __init__(
-        self, center_wavelength: float, n_points: int, spacing: float, detunings: np.ndarray
-    ) -> None:
-        det = np.asarray(detunings, dtype=float)
-        if det.shape != (n_points,):
+    def __post_init__(self) -> None:
+        det = frozen_array(self.detunings, float)
+        if det.shape != (self.n_points,):
             raise InvalidArgumentError(
-                f"detunings shape {det.shape} does not match n_points={n_points}"
+                f"detunings shape {det.shape} does not match n_points={self.n_points}"
             )
-        if n_points < 8:
-            raise InvalidArgumentError(f"n_points must be >= 8, got {n_points}")
-        if not spacing > 0:  # NaN fails too
-            raise InvalidArgumentError(f"spacing must be > 0, got {spacing}")
-        det.setflags(write=False)
-        self.__dict__.update(
-            center_wavelength=center_wavelength, n_points=n_points, spacing=spacing, detunings=det
-        )
+        if self.n_points < 8:
+            raise InvalidArgumentError(f"n_points must be >= 8, got {self.n_points}")
+        if not self.spacing > 0:  # NaN fails too
+            raise InvalidArgumentError(f"spacing must be > 0, got {self.spacing}")
+        self.__dict__["detunings"] = det
 
     def compatible_with(self, other: "FrequencyGrid") -> bool:
         if self is other:
@@ -119,21 +132,20 @@ class HeraldedState(Frozen):
     modes: np.ndarray
     grid: FrequencyGrid
 
-    def __init__(self, weights: np.ndarray, modes: np.ndarray, grid: FrequencyGrid) -> None:
-        w = np.asarray(weights, dtype=float)
-        modes = np.ascontiguousarray(modes, dtype=complex)
-        if len(w) == 0 or modes.shape != (len(w), grid.n_points):
+    def __post_init__(self) -> None:
+        w = frozen_array(self.weights, float)
+        modes = frozen_array(self.modes, complex)
+        n_points = self.grid.n_points
+        if len(w) == 0 or modes.shape != (len(w), n_points):
             raise InvalidArgumentError(
                 f"modes shape {modes.shape} does not match {len(w)} weights on a "
-                f"grid of {grid.n_points} points"
+                f"grid of {n_points} points"
             )
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidArgumentError(
                 f"weights must sum to 1, got {float(w.sum())!r}"
             )
-        w.setflags(write=False)
-        modes.setflags(write=False)
-        self.__dict__.update(weights=w, modes=modes, grid=grid)
+        self.__dict__.update(weights=w, modes=modes)
 
 
 def gaussian_mode(

@@ -560,6 +560,16 @@ def test_cli_invalid_scenario_is_config_error(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+def test_cli_scenario_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes(b"\xff\xfe" + "name: x\n".encode("utf-16-le"))
+    out = tmp_path / "out"
+    code, stdout, err = invoke(capsys, ["run", str(path), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert f"configuration error: {path}: not UTF-8 text" in err
+    assert not out.exists()
+
+
 def test_cli_unknown_delay_scan_source_is_config_error(tmp_path, capsys):
     scenario = copy.deepcopy(NETWORK_SIM)
     scenario["network"]["delay_scan"]["source"] = "nope"

@@ -88,6 +88,13 @@ def test_missing_file_raises_not_found(tmp_path):
         parse_scenario(tmp_path / "nope.yaml")
 
 
+def test_file_that_is_not_utf8_raises_parse_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("name: caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ScenarioParseError, match=f"{path}: not UTF-8 text"):
+        parse_scenario(path)
+
+
 def test_unknown_key_named_in_error(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text(MINIMAL + "\nunknown_knob: 3\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import marginal_intensity_fwhm
+from helpers import jsi, marginal_intensity_fwhm
 from homsim import runner, source
 from homsim.constants import TWO_LN2
 from homsim.errors import DegenerateFilterError, InvalidArgumentError
@@ -20,7 +20,6 @@ from homsim.source import (
     PumpSpectrum,
     apply_filters,
     build_jsa,
-    jsi,
 )
 from homsim.spectral import FrequencyGrid, fwhm_wavelength_to_angular, gaussian_mode, make_grid
 
