@@ -18,13 +18,12 @@ The bounds below were measured, not guessed: every scenario was run under
 the default OpenBLAS settings and under ``OPENBLAS_CORETYPE=Prescott``,
 ``Haswell`` and ``Sandybridge``, ``OPENBLAS_NUM_THREADS=1`` and ``4`` and
 ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"``, and
-each bound keeps a margin over the largest difference seen;
-``SCENARIO_BOUNDS`` widens a shared bound for one scenario where its
-values are larger.  A two-photon
-preset enters the same way: its metrics JSON by key, its scan, curve and
-eigenvalue CSVs by column, and its JSI as its two grid-header lines and the
-sums of its rows and of its columns (``row_marginal``,
-``column_marginal``) rather than the N x N cells.
+each bound keeps a margin over the largest difference seen
+(``SCENARIO_BOUNDS`` widens a shared bound for one scenario whose values
+are larger).  A two-photon preset enters the same way: its metrics JSON by
+key, its scan, curve and eigenvalue CSVs by column, and its JSI as its two
+grid-header lines and the sums of its rows and of its columns
+(``row_marginal``, ``column_marginal``) rather than the N x N cells.
 """
 
 from __future__ import annotations
@@ -277,9 +276,9 @@ POSTULATED_PURE = _preset_variant(
 
 # The exact sinc phase matching behind two flat-top filters of a 3 ps pump:
 # the boxes leave a rank-26 JSA whose eigenvalues fall from 9.7e-5 to the
-# rounding floor (~1e-34), so the threshold keeps 26 modes with a decade of
-# margin on either side, and the Schmidt step reaches its exact full-width
-# block (16 -> 32 -> 64 columns).  The 10.6 ps alias period of the 64-point
+# rounding floor (~1e-34), so the 1e-7 threshold keeps 26 modes, orders of
+# magnitude from either side, and the Schmidt step reaches its exact
+# full-width block (16 -> 32 -> 64 columns).  The 10.6 ps alias period of the 64-point
 # grid holds the 4.3 ps wide dip and its +-5 ps window.
 SINC_FLATTOP = {
     "name": "sinc-flattop-threshold",
@@ -380,8 +379,8 @@ def outputs(entry: dict) -> dict:
         }
 
 
-def golden_entry(name: str, entry: dict) -> dict:
-    table = {**BOUNDS, **SCENARIO_BOUNDS.get(name, {})}
+def golden_entry(scenario: str, entry: dict) -> dict:
+    table = {**BOUNDS, **SCENARIO_BOUNDS.get(scenario, {})}
     files = {}
     for name, values in outputs(entry).items():
         bounds = {}
