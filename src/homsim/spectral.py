@@ -19,10 +19,12 @@ from .frozen import Frozen
 
 
 def frozen_array(value, dtype) -> np.ndarray:
-    """``value`` as a read-only C-ordered array of ``dtype`` that no caller
-    can write to.  An array that already is one and owns its memory (the
-    array of another value) is shared; anything else is copied, so the
-    caller's array stays writable and writing to it cannot change a value."""
+    """``value`` as a read-only C-ordered array of ``dtype``.  An array that
+    already is one and owns its memory (the array of another value, or one
+    its caller made read-only) is shared; anything else is copied, so a
+    writable array or a view stays writable and writing to it does not
+    change the value.  A caller who shares an array and then makes it
+    writable again can write to the value's array."""
     if (
         isinstance(value, np.ndarray)
         and value.dtype == dtype

@@ -3,9 +3,7 @@
 Run from the repository root after a change that moves a printed number on
 purpose:
 
-    PYTHONPATH=src python tests/regenerate_golden.py [name ...]
-
-Given names, only those scenarios' files are written; without, all of them.
+    PYTHONPATH=src python tests/regenerate_golden.py
 
 Each file holds the scenario (a preset name or a scenario dict) and, per
 output file of the run (the manifest aside), the parsed values and a bound
@@ -393,14 +391,13 @@ def golden_entry(scenario: str, entry: dict) -> dict:
     return {**entry, "outputs": files}
 
 
-def main(names: list[str]) -> None:
+def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name in names or SCENARIOS:
-        entry = SCENARIOS[name]
+    for name, entry in SCENARIOS.items():
         path = GOLDEN / f"{name}.json"
         path.write_text(json.dumps(golden_entry(name, entry), indent=1) + "\n", encoding="utf-8")
         print(path, file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -1,5 +1,7 @@
 """Values own their arrays: a value never makes its caller's array
-read-only, and writing to the caller's array never changes a value."""
+read-only, and writing to a writable array or a view it was given does not
+change the value.  An array that is already read-only, C-ordered and owns
+its memory is shared."""
 
 import numpy as np
 
@@ -69,3 +71,12 @@ def test_a_read_only_view_of_a_writable_array_is_copied_and_a_value_array_shared
     assert np.all(state.modes == 1.0)
     # An array that a value owns is read-only and owns its memory: shared.
     assert HeraldedState(state.weights, state.modes, grid).modes is state.modes
+    # So is such an array of the caller's, which stays the caller's: numpy
+    # lets its owner make it writable again, and writing then moves the value.
+    owned = np.ones((1, grid.n_points), dtype=complex)
+    owned.setflags(write=False)
+    shared = HeraldedState([1.0], owned, grid)
+    assert shared.modes is owned
+    owned.setflags(write=True)
+    owned[0, 0] = 99.0
+    assert shared.modes[0, 0] == 99.0
