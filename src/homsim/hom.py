@@ -18,8 +18,10 @@ routine.  It first replaces the R1*R2 mode products by an orthogonal
 basis of the space they span.  Stack the weighted products as the rows
 c_nm[k] = sqrt(w1_n w2_m) phi1_n[k] conj(phi2_m[k]) of a matrix C and
 diagonalise its (R1 R2) x (R1 R2) Gram matrix, G = C C^H = U diag(lambda) U^H
-(``eigh``; an SVD of C costs ~10x more).  The rows v_j of U^H C satisfy, for
-any vector a and exactly,
+(``eigh``; an SVD of C costs ~10x more).  For two states with real modes,
+which every real JSA gives, C, G and U are real, so the basis is built in
+real arithmetic; complex modes give a complex basis.  The rows v_j of U^H C
+satisfy, for any vector a and exactly,
 
     sum_nm w1_n w2_m |sum_k phi1_n[k] conj(phi2_m[k]) a_k|^2 = sum_j |sum_k v_j[k] a_k|^2,
 
@@ -184,7 +186,8 @@ def _product_basis(state1: HeraldedState, state2: HeraldedState) -> np.ndarray:
     where lambda_j > lambda_max * size * eps, from the smaller side of the
     Gram identity (module docstring): v_j = (U^H C)_j from the
     (R1 R2) x (R1 R2) matrix C C^H when R1 R2 <= N, else
-    v_j = sqrt(lambda_j) w_j^H from the N x N matrix C^H C."""
+    v_j = sqrt(lambda_j) w_j^H from the N x N matrix C^H C.  The rows are
+    float64 when both states' modes are, complex128 otherwise."""
     m1 = np.sqrt(state1.weights)[:, None] * state1.modes
     m2 = np.sqrt(state2.weights)[:, None] * state2.modes.conj()
     from_products = len(m1) * len(m2) <= m1.shape[1]
@@ -218,7 +221,8 @@ def _probabilities(
     offset.  The leading factor is a unit-modulus phase shared by every row,
     so |O|^2 does not need it.  The basis, the input chirp and the kernel's
     FFT are built once; each offset only multiplies its dispersion phase into
-    the rows.
+    the rows.  The chirp goes into a new complex array, since a real basis
+    cannot hold it.
     """
     state1.grid.require_same(state2.grid)
     grid = state1.grid
@@ -226,7 +230,7 @@ def _probabilities(
     w = grid.detunings
     turns = grid.spacing * dtau / (4.0 * math.pi)  # alpha/2 in turns
     rows = _product_basis(state1, state2)
-    rows *= _chirp(turns, np.arange(n)) * np.exp(1j * w * tau0) * grid.spacing
+    rows = rows * (_chirp(turns, np.arange(n)) * np.exp(1j * w * tau0) * grid.spacing)
     size = _smooth_length(n + n_taus - 1)
     kernel = np.fft.fft(_chirp(turns, np.arange(1 - n, n_taus)).conj(), size)  # every t - k
     half_w2 = -0.5 * w**2

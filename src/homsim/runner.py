@@ -215,7 +215,8 @@ def _run_visibility_curve(sc: Scenario, out: Path, base: str, warnings: list[str
     length_1 = sc.dispersion.length_1_mm
     # Without a scan section, visibility_curve sizes each offset's window.
     explicit_cfg = None if sc.scan is None else _scan_config(sc, 0.0)
-    _, decomp = _decomposition(sc, warnings)
+    # The curves read only the modes: the JSA is released before they run.
+    decomp = _decomposition(sc, warnings)[1]
     mixed, pure = (
         visibility_curve(state, beta, length_1, deltas, explicit_cfg)
         for state in (herald(decomp), postulate_pure_state(decomp))

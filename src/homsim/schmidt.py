@@ -2,8 +2,9 @@
 heralded states built from it.
 
 The discretized JSA matrix A, weighted by the quadrature cell, has Frobenius
-norm 1; its singular value decomposition is the matrix analogue of the
-continuous Schmidt decomposition.  Squared singular values are the Schmidt
+norm 1 (``JointSpectralAmplitude`` sets it once, when it is built, and this
+module takes it as given); its singular value decomposition is the matrix
+analogue of the continuous Schmidt decomposition.  Squared singular values are the Schmidt
 eigenvalues, and the left/right singular vectors (rescaled by the grid
 spacings) are the signal/idler mode functions.
 
@@ -20,12 +21,13 @@ randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
   (the last 8 columns are oversampling and are never trusted).  A
   full-width block uses the QR basis of A itself and is exact, so rank = N
   and mass = 1 keep every mode.
-* The arithmetic is real for a float64 A, which every pump, phase-matching
-  and filter model produces, and for a complex A with no imaginary part; any
-  other complex A runs the same code in complex dtype.  A itself is never
+* The arithmetic runs in A's dtype: real for a float64 A, which every pump,
+  phase-matching and filter model produces, and complex only for a
+  complex128 A; the modes come out in the same dtype.  A itself is never
   copied or rescaled: the quadrature weight sqrt(ds*di) scales only the
   singular values.
-* The discarded mass is exact: 1 - sum(kept eigenvalues) / ||A||_F^2.
+* The discarded mass is 1 - sum(kept eigenvalues), exact to the rounding of
+  A's unit norm.
 
 The test block is a function of its shape alone, so the result is a
 deterministic function of the JSA and re-running a manifest reproduces its
@@ -83,8 +85,9 @@ _PIVOT_RTOL = 1e-9
 class SchmidtDecomposition(Frozen):
     """Truncated Schmidt spectrum with orthonormal signal/idler modes.
 
-    Row n of the read-only complex matrices ``signal_modes`` (R, N_s) and
-    ``idler_modes`` (R, N_i) is the mode pair of ``eigenvalues[n]``, sampled
+    Row n of the read-only matrices ``signal_modes`` (R, N_s) and
+    ``idler_modes`` (R, N_i), float64 for real modes and complex128 only for
+    complex ones, is the mode pair of ``eigenvalues[n]``, sampled
     on ``grid_signal`` and ``grid_idler``.  ``eigenvalues`` are renormalized
     to sum to 1 after truncation; ``tail_mass`` records the discarded
     eigenvalue mass of the full spectrum and ``truncation_warning`` flags a
@@ -103,7 +106,7 @@ class SchmidtDecomposition(Frozen):
         fields = self.__dict__
         ev = fields["eigenvalues"] = frozen_array(self.eigenvalues, float)
         for name, grid in (("signal_modes", self.grid_signal), ("idler_modes", self.grid_idler)):
-            modes = frozen_array(fields[name], complex)
+            modes = frozen_array(fields[name])
             if modes.shape != (len(ev), grid.n_points):
                 raise InvalidArgumentError(
                     f"{name} shape {modes.shape} does not match {len(ev)} eigenvalues "
@@ -127,7 +130,10 @@ def schmidt_decompose(
     Exactly one of ``rank`` (keep the top r), ``threshold`` (keep eigenvalues
     >= epsilon) or ``mass`` (keep until the cumulative eigenvalue mass reaches
     the target) may be given; the default is mass = 0.999.  The leading
-    modes come from an adaptive randomized SVD (see the module docstring).
+    modes come from an adaptive randomized SVD (see the module docstring),
+    in the JSA's dtype.  The JSA's norm is taken as the 1 it was built
+    with, so the cumulative mass is a plain running sum of the eigenvalues
+    and ``tail_mass`` is 1 minus the kept ones.
     """
     chosen = [name for name, v in (("rank", rank), ("threshold", threshold), ("mass", mass)) if v is not None]
     if len(chosen) > 1:
@@ -145,14 +151,9 @@ def schmidt_decompose(
     ds = jsa.grid_signal.spacing
     di = jsa.grid_idler.spacing
     amplitudes = jsa.amplitudes
-    if np.iscomplexobj(amplitudes) and not np.any(amplitudes.imag):
-        amplitudes = np.ascontiguousarray(amplitudes.real)
     # The weighted matrix A*sqrt(ds*di) has the singular vectors of A and the
-    # eigenvalues (s*sqrt(ds*di))^2.
+    # eigenvalues (s*sqrt(ds*di))^2, which sum to A's unit norm.
     cell = ds * di
-    # The squared norm, 1 up to rounding.  einsum, not a BLAS dot: OpenBLAS
-    # splits a dot's sum across its threads, so the bits would follow them.
-    total = float(np.einsum("ij,ij->", amplitudes.conj(), amplitudes).real) * cell
 
     full = min(amplitudes.shape)
     k = min(_INITIAL_BLOCK, full)
@@ -160,19 +161,18 @@ def schmidt_decompose(
         exact = k == full
         u, s, vh = _truncated_svd(amplitudes, k, exact)
         lam = s**2 * cell
-        keep = _kept_count(lam, total, exact, rank, threshold, mass)
+        keep = _kept_count(lam, exact, rank, threshold, mass)
         if keep is not None:
             break
         k = min(2 * k, full)
 
-    tail = max(0.0, 1.0 - float(lam[:keep].sum()) / total)
-    eigenvalues = lam[:keep] / float(lam[:keep].sum())
+    kept = float(lam[:keep].sum())
+    tail = max(0.0, 1.0 - kept)
+    eigenvalues = lam[:keep] / kept
     u, vh = fix_gauge(u[:, :keep], vh[:keep])
 
-    # Divided while still real, then cast: the modes of a real JSA carry no
-    # rounding of a complex division.
-    signal = (u / math.sqrt(ds)).T.astype(complex)
-    idler = (vh / math.sqrt(di)).astype(complex)
+    signal = (u / math.sqrt(ds)).T
+    idler = vh / math.sqrt(di)
     order = _tie_broken_order(eigenvalues, signal, jsa.grid_signal)
 
     return SchmidtDecomposition(
@@ -243,7 +243,6 @@ def _test_block(n: int, k: int) -> np.ndarray:
 
 def _kept_count(
     lam: np.ndarray,
-    total: float,
     exact: bool,
     rank: int | None,
     threshold: float | None,
@@ -264,7 +263,7 @@ def _kept_count(
                 f"eigenvalue threshold {threshold} removes every mode"
             )
         return keep if exact or keep < trusted else None
-    cum = np.cumsum(lam[:trusted]) / total
+    cum = np.cumsum(lam[:trusted])
     keep = int(np.searchsorted(cum, mass)) + 1
     return min(keep, trusted) if exact or keep <= trusted else None
 

@@ -26,11 +26,15 @@ sqrt(1 - R^2/PQ) (Grice & Walmsley, PRA 56, 1627 (1997); Law, Walmsley &
 Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated in
 place as sin(x)/x times the pump envelope, two N_s x N_i arrays in all.
 Filtering multiplies by the two 1-D amplitude transmissions.  A run keeps
-one N_s x N_i matrix per JSA: ``build_jsa`` given filters normalises its
-fresh matrix, multiplies the transmissions into it and normalises it again,
-all in place.  ``apply_filters`` runs the same steps on one copy of the JSA
-it is given, and the public constructor scales a copy and never touches
-the caller's array.
+one N_s x N_i matrix per JSA and normalises it once: ``build_jsa`` given
+filters multiplies the transmissions into its fresh, unnormalised matrix
+and then normalises it, all in place.  ``apply_filters`` runs the same
+steps on one copy of the JSA it is given, and the public constructor scales
+a copy and never touches the caller's array.  Every JSA, filtered or not,
+must have a quadrature norm of at least 1e-15 before it is normalised; a
+filtered one below that raises :class:`DegenerateFilterError`.  The raw
+pump-times-phase-matching matrix peaks at no more than 1, so the floor is
+an absolute one on the same scale for every source.
 """
 
 from __future__ import annotations
@@ -218,10 +222,11 @@ def build_jsa(
     Both grids must be centered at twice the pump wavelength (degenerate
     down-conversion); energy conservation puts the pump envelope at the
     detuning sum W_s + W_i.  With a filter on either arm the one new matrix
-    is normalised, multiplied by the amplitude transmissions and normalised
-    again in place: the bits of ``apply_filters(build_jsa(...), ...)``
-    without its second N_s x N_i array.  A filter combination that removes
-    essentially all amplitude raises :class:`DegenerateFilterError`.
+    is multiplied by the amplitude transmissions and then normalised, once
+    and in place: the bits of the public constructor applied to the raw
+    matrix times the transmissions, without its second N_s x N_i array.  A
+    filter combination that leaves a quadrature norm below 1e-15 raises
+    :class:`DegenerateFilterError`.
     """
     degenerate = 2.0 * pump.center_wavelength
     for name, grid in (("signal", grid_signal), ("idler", grid_idler)):
@@ -233,7 +238,6 @@ def build_jsa(
     amp = _amplitude_matrix(pump, pm, grid_signal.detunings, grid_idler.detunings)
     if filter_signal is None and filter_idler is None:
         return _owning_jsa(grid_signal, grid_idler, amp)
-    amp *= _inverse_norm(amp, grid_signal, grid_idler)
     return _filtered_jsa(grid_signal, grid_idler, amp, filter_signal, filter_idler)
 
 
@@ -274,10 +278,11 @@ def apply_filters(
     """Multiply by the amplitude transmissions sqrt(T_s) sqrt(T_i), renormalize.
 
     ``None`` leaves an arm unfiltered.  The result is a new JSA made from one
-    copy of ``jsa``'s matrix; ``build_jsa`` with the same filters gives the
-    same bits from one matrix in all.  A filter combination that removes
-    essentially all amplitude (norm < 1e-15 before renormalization) raises
-    :class:`DegenerateFilterError`.
+    copy of ``jsa``'s matrix.  ``build_jsa`` with the same filters filters
+    the unnormalised matrix instead, so the two agree to rounding (a few
+    1e-16 relative per cell), not bit for bit.  A filter combination that
+    removes essentially all amplitude (norm < 1e-15 before renormalization)
+    raises :class:`DegenerateFilterError`.
     """
     # order="K" keeps the input's memory layout, and with it the norm's
     # summation order, as the product ``jsa.amplitudes * ts[:, None]`` would.

@@ -4,7 +4,9 @@ Every spectral quantity in the simulator lives on a uniform grid of angular
 frequency *detunings* from a carrier: the carrier phase and any common group
 delay drop out of the interference observables, so only detunings are kept.
 Integrals are midpoint sums (amplitudes decay to ~0 at the grid edges, where
-the rectangle rule is spectrally accurate).
+the rectangle rule is spectrally accurate).  Mode matrices keep the kind of
+the data they are given: float64 for real modes, which every real JSA gives,
+and complex128 only for complex ones.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ from .errors import IncompatibleGridError, InvalidArgumentError
 from .frozen import Frozen
 
 
-def frozen_array(value, dtype) -> np.ndarray:
-    """``value`` as a read-only C-ordered array of ``dtype``.  An array that
-    already is one and owns its memory (the array of another value, or one
-    its caller made read-only) is shared; anything else is copied, so a
-    writable array or a view stays writable and writing to it does not
-    change the value.  A caller who shares an array and then makes it
-    writable again can write to the value's array."""
+def frozen_array(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only C-ordered array of ``dtype``; without one,
+    of the value's kind: complex128 for complex data, float64 for anything
+    else.  An array that already is one and owns its memory (the array of
+    another value, or one its caller made read-only) is shared; anything
+    else is copied, so a writable array or a view stays writable and writing
+    to it does not change the value.  A caller who shares an array and then
+    makes it writable again can write to the value's array."""
+    if dtype is None:
+        dtype = complex if np.iscomplexobj(value) else float
     if (
         isinstance(value, np.ndarray)
         and value.dtype == dtype
@@ -123,11 +128,12 @@ def make_grid(
 class HeraldedState(Frozen):
     """A photon as a spectral mixture: ``weights`` over the rows of ``modes``.
 
-    ``modes`` is a read-only complex (R, N) matrix, one mode function per
-    row, sampled on ``grid``; ``weights`` holds the R mixture weights and
-    sums to 1.  A pure photon has R = 1.  The L2 norm convention includes
-    the quadrature weight: ``sum(|modes[n]|^2) * grid.spacing == 1`` for a
-    normalized mode.
+    ``modes`` is a read-only (R, N) matrix, one mode function per row,
+    sampled on ``grid``: float64 for real modes, which every real JSA gives,
+    and complex128 only for complex ones.  ``weights`` holds the R mixture
+    weights and sums to 1.  A pure photon has R = 1.  The L2 norm convention
+    includes the quadrature weight: ``sum(|modes[n]|^2) * grid.spacing == 1``
+    for a normalized mode.
     """
 
     weights: np.ndarray
@@ -136,7 +142,7 @@ class HeraldedState(Frozen):
 
     def __post_init__(self) -> None:
         w = frozen_array(self.weights, float)
-        modes = frozen_array(self.modes, complex)
+        modes = frozen_array(self.modes)
         n_points = self.grid.n_points
         if len(w) == 0 or modes.shape != (len(w), n_points):
             raise InvalidArgumentError(
@@ -156,14 +162,15 @@ def gaussian_mode(
     center_detuning: float = 0.0,
 ) -> HeraldedState:
     """Pure state of a unit-norm Gaussian amplitude whose *intensity* FWHM is
-    ``intensity_fwhm`` (rad/fs), centered at ``center_detuning`` on the grid."""
+    ``intensity_fwhm`` (rad/fs), centered at ``center_detuning`` on the grid;
+    its mode is real (float64)."""
     if not intensity_fwhm > 0:
         raise InvalidArgumentError(
             f"intensity_fwhm must be > 0, got {intensity_fwhm}"
         )
     x = grid.detunings - center_detuning
-    amp = np.exp(-TWO_LN2 * (x / intensity_fwhm) ** 2).astype(complex)
-    norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.spacing)
+    amp = np.exp(-TWO_LN2 * (x / intensity_fwhm) ** 2)
+    norm = math.sqrt(float(np.sum(amp**2)) * grid.spacing)
     if norm == 0.0:
         raise InvalidArgumentError("the Gaussian amplitude vanishes on the grid")
     return HeraldedState(np.array([1.0]), (amp / norm)[None], grid)

@@ -12,7 +12,7 @@ FILES = sorted(GOLDEN.glob("*.json"))
 
 
 def test_every_scenario_has_a_golden_file():
-    assert [f.stem for f in FILES] == sorted(SCENARIOS)
+    assert sorted(f.stem for f in FILES) == sorted(SCENARIOS)
 
 
 @pytest.mark.parametrize("path", FILES, ids=[f.stem for f in FILES])

@@ -127,6 +127,50 @@ def test_visibility_curve_run(tmp_path):
     assert all(a > b for a, b in zip(vis_mixed, vis_mixed[1:]))
 
 
+def test_visibility_curve_releases_the_jsa_before_its_curves(tmp_path, monkeypatch):
+    # The curves read only the Schmidt modes, so the N x N JSA is gone
+    # before the first one is scanned.
+    import weakref
+
+    import homsim.hom
+    import homsim.source
+
+    build, curve = homsim.source.build_jsa, homsim.hom.visibility_curve
+    built, alive = [], []
+
+    def tracked_build(*args, **kwargs):
+        jsa = build(*args, **kwargs)
+        built.append(weakref.ref(jsa))
+        return jsa
+
+    def checked_curve(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return curve(*args, **kwargs)
+
+    monkeypatch.setattr(homsim.source, "build_jsa", tracked_build)
+    monkeypatch.setattr(homsim.hom, "visibility_curve", checked_curve)
+    run(load_preset("fig3"), out_dir=tmp_path)
+    assert alive == [[False], [False]]
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3"])
+def test_two_photon_runs_call_only_real_lapack(tmp_path, monkeypatch, preset):
+    # Every JSA, mode and Gram matrix of a preset is real, so no complex
+    # LAPACK routine (and no complex kernel library pages) is ever touched.
+    seen = set()
+    for name in ("qr", "svd", "eigh", "solve"):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(a, *args, _fn=fn, _name=name, **kwargs):
+            seen.add((_name, np.asarray(a).dtype.name))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    run(load_preset(preset), out_dir=tmp_path)
+    assert {name for name, _ in seen} >= {"qr", "svd", "eigh"}
+    assert {kind for _, kind in seen} == {"float64"}
+
+
 def test_visibility_curve_honours_truncation(tmp_path):
     # Keeping one Schmidt mode makes the heralded state pure, so the mixed
     # columns of the curve must equal the pure ones.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import inner_products, reconstruct
+from homsim import hom
 from homsim.errors import DegenerateStateError, InvalidArgumentError
 from homsim.hom import visibility_curve
 from homsim.schmidt import (
@@ -372,13 +373,33 @@ def test_postulated_pure_curve_does_not_depend_on_grid_size():
         assert np.max(np.abs(curve - curves[0])) < 1e-9
 
 
+@pytest.mark.parametrize("kind", [np.float64, np.complex128])
+def test_modes_keep_the_kind_of_the_jsa(kind):
+    # A real JSA runs in real arithmetic through the Schmidt step, both
+    # photon states and the delay scan's mode-product basis; a complex one
+    # (here a signal-only spectral phase) stays complex.
+    jsa = source_jsa(128)
+    if kind is np.complex128:
+        phase = np.exp(1j * 50.0 * jsa.grid_signal.detunings)
+        jsa = JointSpectralAmplitude(
+            jsa.grid_signal, jsa.grid_idler, jsa.amplitudes * phase[:, None]
+        )
+    decomp = schmidt_decompose(jsa)
+    assert decomp.signal_modes.dtype == decomp.idler_modes.dtype == kind
+    for state in (herald(decomp), postulate_pure_state(decomp)):
+        assert state.modes.dtype == kind
+        assert hom._product_basis(state, state).dtype == kind
+
+
 def test_decomposition_modes_match_eigenvalues_and_grids():
     grid = make_grid(780.0, 10.0, 4.0, 64)
     other = make_grid(780.0, 10.0, 4.0, 48)
     modes = np.eye(2, 64)
     decomp = SchmidtDecomposition(np.array([0.75, 0.25]), modes, modes, grid, grid)
     assert decomp.rank == 2
-    assert decomp.signal_modes.dtype == complex
+    assert decomp.signal_modes.dtype == np.float64
+    rotated = SchmidtDecomposition(np.array([0.75, 0.25]), modes * 1j, modes, grid, grid)
+    assert rotated.signal_modes.dtype == np.complex128
     with pytest.raises(ValueError):
         decomp.idler_modes[0, 0] = 0.0
     with pytest.raises(InvalidArgumentError):

@@ -151,7 +151,9 @@ def test_state_modes_must_match_weights_and_grid():
     grid = make_grid(780.0, 10.0, 4.0, 64)
     modes = np.ones((2, 64))
     state = HeraldedState([0.25, 0.75], modes, grid)
-    assert state.modes.dtype == complex and state.modes.shape == (2, 64)
+    assert state.modes.dtype == np.float64 and state.modes.shape == (2, 64)
+    assert HeraldedState([0.25, 0.75], modes * 1j, grid).modes.dtype == np.complex128
+    assert gaussian_mode(grid, 0.02).modes.dtype == np.float64
     with pytest.raises(ValueError):
         state.modes[0, 0] = 0.0
     with pytest.raises(ValueError):
