@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 import yaml
 
 import homsim
+import homsim.hom
 import homsim.network
 import homsim.runner
+import homsim.source
 from helpers import coincidence_probability, write_jsi_csv_whole
 from homsim.cli import main
 from homsim.runner import run
@@ -130,11 +133,6 @@ def test_visibility_curve_run(tmp_path):
 def test_visibility_curve_releases_the_jsa_before_its_curves(tmp_path, monkeypatch):
     # The curves read only the Schmidt modes, so the N x N JSA is gone
     # before the first one is scanned.
-    import weakref
-
-    import homsim.hom
-    import homsim.source
-
     build, curve = homsim.source.build_jsa, homsim.hom.visibility_curve
     built, alive = [], []
 
