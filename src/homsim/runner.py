@@ -166,6 +166,11 @@ def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]
     from .schmidt import purity, schmidt_number
 
     jsa, decomp = _decomposition(sc, warnings)
+    # The JSI is the JSA's last reader: it is written now and the N x N
+    # matrix is released before the scan and the fit.
+    if sc.output.emit_jsi:
+        io.write_jsi_csv(out / f"{base}_jsi.csv", jsa)
+    del jsa
     state = _heralded_state(sc, decomp)
     delta_beta_l = sc.dispersion.beta_fs2_per_mm * (
         sc.dispersion.length_1_mm - sc.dispersion.length_2_mm
@@ -192,7 +197,6 @@ def _run_two_photon_scan(sc: Scenario, out: Path, base: str, warnings: list[str]
     io.write_json(out / f"{base}_metrics.json", payload)
     files.append(f"{base}_metrics.json")
     if sc.output.emit_jsi:
-        io.write_jsi_csv(out / f"{base}_jsi.csv", jsa)
         files.append(f"{base}_jsi.csv")
     if sc.output.emit_eigenvalues:
         io.write_eigenvalues_csv(out / f"{base}_eigenvalues.csv", decomp.eigenvalues)

@@ -28,6 +28,16 @@ randomized range finder of Halko, Martinsson & Tropp (SIAM Rev. 53, 217,
   singular values.
 * The discarded mass is 1 - sum(kept eigenvalues), exact to the rounding of
   A's unit norm.
+* A is the right-hand operand of every BLAS product: A B is formed as
+  (B^T A^T)^T.  Numpy hands a row-major product to OpenBLAS as its
+  column-major transpose, and with A on the left OpenBLAS packs more of
+  the N x N matrix into its work buffers: in a fresh process at N = 1024, one
+  product with a 24-column block raised the RSS peak by 3.2 MB with A on the
+  left and by 1.3 MB with A on the right (numpy 2.4.6, OpenBLAS 0.3.31
+  DYNAMIC_ARCH, SkylakeX kernels, 2 threads; measured, not traced into
+  OpenBLAS).  The two forms give the same bits at the presets' grid sizes;
+  at some other sizes the kernels split the sum differently and the
+  products differ at rounding level.
 
 The test block is a function of its shape alone, so the result is a
 deterministic function of the JSA and re-running a manifest reproduces its
@@ -195,14 +205,16 @@ def _truncated_svd(
     Q spans the whole range), and otherwise the range finder's basis: the
     Gaussian block of :func:`_test_block` with one power iteration,
     re-orthonormalised by QR after every product.  a^H Q is formed as
-    (Q^H a)^H, so that ``a`` itself is never conjugated or copied.
+    (Q^H a)^H, so that ``a`` itself is never conjugated or copied, and
+    ``a`` is the right-hand operand of every product: a B is formed as
+    (B^T a^T)^T, for a lower RSS peak (see the module docstring).
     """
     if exact:
         q = np.linalg.qr(a)[0]
     else:
-        q = np.linalg.qr(a @ _test_block(a.shape[1], k))[0]
+        q = np.linalg.qr((_test_block(a.shape[1], k).T @ a.T).T)[0]
         q = np.linalg.qr((q.conj().T @ a).conj().T)[0]
-        q = np.linalg.qr(a @ q)[0]
+        q = np.linalg.qr((q.T @ a.T).T)[0]
     ub, s, vh = np.linalg.svd(q.conj().T @ a, full_matrices=False)
     return q @ ub, s, vh
 

@@ -23,8 +23,9 @@ PQ - R^2 = a g (gvm_s - gvm_i)^2, whose two terms are non-negative, so no
 rounding cancels along the correlation ridge.  A centred Gaussian filter of
 FWHM w adds 2 ln2/w^2 to P or Q, and the heralded purity is
 sqrt(1 - R^2/PQ) (Grice & Walmsley, PRA 56, 1627 (1997); Law, Walmsley &
-Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated in
-place as sin(x)/x times the pump envelope, two N_s x N_i arrays in all.
+Eberly, PRL 84, 5304 (2000)).  The exact ``sinc`` model is evaluated as
+sin(x)/x times the pump envelope in row blocks written into the one
+N_s x N_i output matrix, with a scratch of one block (64 Ki cells).
 Filtering multiplies by the two 1-D amplitude transmissions.  A run keeps
 one N_s x N_i matrix per JSA and normalises it once: ``build_jsa`` given
 filters multiplies the transmissions into its fresh, unnormalised matrix
@@ -57,6 +58,9 @@ from .spectral import FrequencyGrid
 
 # Gaussian approximation of the central sinc lobe: sinc(x) ~ exp(-GAMMA x^2).
 SINC_GAUSSIAN_GAMMA = 0.193
+
+# Cells per row block of the exact ``sinc`` model's scratch (512 KiB).
+_SINC_BLOCK_CELLS = 1 << 16
 
 
 class PumpSpectrum(Frozen):
@@ -246,15 +250,23 @@ def _amplitude_matrix(
 ) -> np.ndarray:
     """The unnormalised float64 JSA matrix, a new array."""
     if pm.model == "sinc":
-        x = np.add.outer(pm.gvm_signal * ws, pm.gvm_idler * wi)
-        x *= 0.5 * pm.crystal_length
-        x[x == 0.0] = 1e-300  # sin(x)/x -> 1
-        amp = np.sin(x)
-        amp /= x
-        pump_amp = np.add.outer(ws / pump.angular_fwhm, wi / pump.angular_fwhm, out=x)
-        pump_amp *= pump_amp
-        pump_amp *= -TWO_LN2
-        amp *= np.exp(pump_amp, out=pump_amp)
+        # Elementwise, so row blocks written into the one output matrix give
+        # the bits of the whole-matrix formula with a block-sized scratch.
+        amp = np.empty((len(ws), len(wi)))
+        rows = max(1, _SINC_BLOCK_CELLS // len(wi))
+        xs, xi = pm.gvm_signal * ws, pm.gvm_idler * wi
+        ys, yi = ws / pump.angular_fwhm, wi / pump.angular_fwhm
+        for start in range(0, len(ws), rows):
+            block = slice(start, start + rows)
+            x = np.add.outer(xs[block], xi)
+            x *= 0.5 * pm.crystal_length
+            x[x == 0.0] = 1e-300  # sin(x)/x -> 1
+            out = np.sin(x, out=amp[block])
+            out /= x
+            pump_amp = np.add.outer(ys[block], yi, out=x)
+            pump_amp *= pump_amp
+            pump_amp *= -TWO_LN2
+            out *= np.exp(pump_amp, out=pump_amp)
         return amp
     # One exponential of the completed square (see the module docstring);
     # expanding P ws^2 + Q wi^2 + 2R ws wi instead loses up to 1e-12 of the

@@ -151,6 +151,46 @@ def test_visibility_curve_releases_the_jsa_before_its_curves(tmp_path, monkeypat
     assert alive == [[False], [False]]
 
 
+@pytest.mark.parametrize("preset", ["fig2a", "fig1c"])
+def test_two_photon_scan_releases_the_jsa_before_its_scan(tmp_path, monkeypatch, preset):
+    # After the Schmidt step only the JSI writer reads the JSA, so the JSI
+    # (fig1c's) is on disk and the N x N matrix gone before the scan starts.
+    build, scan = homsim.source.build_jsa, homsim.hom.scan
+    built, seen = [], []
+
+    def tracked_build(*args, **kwargs):
+        jsa = build(*args, **kwargs)
+        built.append(weakref.ref(jsa))
+        return jsa
+
+    def checked_scan(*args, **kwargs):
+        written = sorted(p.name for p in tmp_path.iterdir())
+        seen.append(([ref() is not None for ref in built], written))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(homsim.source, "build_jsa", tracked_build)
+    monkeypatch.setattr(homsim.hom, "scan", checked_scan)
+    result = run(load_preset(preset), out_dir=tmp_path)
+    jsi = [f"{preset}_jsi.csv"] if preset == "fig1c" else []
+    assert seen == [([False], jsi)]
+    assert (f"{preset}_jsi.csv" in result.files) == bool(jsi)
+
+
+def test_failed_fit_leaves_the_jsi_written_before_it(tmp_path, monkeypatch, capsys):
+    # The JSI is written right after the Schmidt step, so a fit that fails
+    # later exits 3 and prints no file, but the JSI stays on disk.
+    from homsim.errors import NoDipError
+
+    def no_dip(*args, **kwargs):
+        raise NoDipError("no dip found")
+
+    monkeypatch.setattr(homsim.hom, "fit_dip", no_dip)
+    code, out, err = invoke(capsys, ["run", "--preset", "fig1c", "--out", str(tmp_path)])
+    assert code == 3 and out == ""
+    assert "numerical error" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1c_jsi.csv"]
+
+
 @pytest.mark.parametrize("preset", ["fig2a", "fig3"])
 def test_two_photon_runs_call_only_real_lapack(tmp_path, monkeypatch, preset):
     # Every JSA, mode and Gram matrix of a preset is real, so no complex
@@ -774,6 +814,35 @@ def test_cli_import_closure():
         ]
         assert foreign == [], module
         assert module in loaded
+
+
+def test_scenario_set_up_loads_no_numpy():
+    # Loading and validating scenarios runs before any numerics (and is all
+    # a benchmark's set-up does): every preset, a visibility curve with a
+    # scan section and a network-sim with a delay scan leave numpy unloaded.
+    src = str(Path(homsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    curve = {
+        "name": "curve",
+        "mode": "visibility-curve",
+        "dispersion": {"length_1_mm": 6000.0, "delta_lengths_mm": [0.0, 500.0]},
+        "scan": {"tau_min_fs": -3000.0, "tau_max_fs": 3000.0, "n_steps": 101},
+    }
+    probe = (
+        "import json, sys; import homsim.cli; "
+        "from homsim.scenario import list_presets, load_preset, scenario_from_dict; "
+        "presets = [load_preset(p) for p in list_presets()]; "
+        "scenarios = [scenario_from_dict(d) for d in json.loads(sys.argv[1])]; "
+        "print(len(presets), len(scenarios), 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps([curve, NETWORK_SIM])],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["9", "2", "False"]
 
 
 @pytest.mark.parametrize(

@@ -467,6 +467,49 @@ def test_a_run_builds_its_filtered_jsa_in_one_matrix():
     assert peak <= 1.25 * jsa.amplitudes.nbytes
 
 
+def two_array_sinc(pump, pm, ws, wi):
+    """The exact sinc build over whole matrices, in two N_s x N_i arrays."""
+    x = np.add.outer(pm.gvm_signal * ws, pm.gvm_idler * wi)
+    x *= 0.5 * pm.crystal_length
+    x[x == 0.0] = 1e-300
+    amp = np.sin(x)
+    amp /= x
+    pump_amp = np.add.outer(ws / pump.angular_fwhm, wi / pump.angular_fwhm, out=x)
+    pump_amp *= pump_amp
+    pump_amp *= -TWO_LN2
+    amp *= np.exp(pump_amp, out=pump_amp)
+    return amp
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (257, 255), (1001, 67), (3, 70000)])
+@pytest.mark.parametrize("slopes", [(340.0, 120.0), (200.0, -200.0)])
+def test_sinc_row_blocks_have_the_bits_of_the_whole_matrix(shape, slopes):
+    # Row blocks of 64 Ki cells: one block, several with a short last one,
+    # and rows wider than a block.  Opposite slopes on the square's shared
+    # axis put x = 0 on the diagonal.
+    pump = PumpSpectrum()
+    pm = PhaseMatching(crystal_length=2.0, model="sinc", gvm_signal=slopes[0], gvm_idler=slopes[1])
+    ws = np.linspace(-0.05, 0.05, shape[0])
+    wi = np.linspace(-0.05, 0.05, shape[1])
+    got = source._amplitude_matrix(pump, pm, ws, wi)
+    assert np.array_equal(got, two_array_sinc(pump, pm, ws, wi))
+
+
+def test_sinc_build_makes_one_matrix():
+    # The whole-matrix formula peaked at two N x N arrays (16.14 MiB at
+    # N = 1024); the row blocks add one block's scratch to the output.
+    pump, pm = PumpSpectrum(), PhaseMatching(model="sinc")
+    ws = np.linspace(-0.05, 0.05, 1024)
+    source._amplitude_matrix(pump, pm, ws, ws)  # first-call set-up
+    tracemalloc.start()
+    try:
+        amp = source._amplitude_matrix(pump, pm, ws, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * amp.nbytes
+
+
 # --- closed-form Gaussian purity --------------------------------------------
 
 
