@@ -65,6 +65,24 @@ transform is periodic in the delay with the alias period 2*pi/dw of the
 frequency grid (12963 fs on the presets' grid): a scan window longer than
 that wraps around.
 
+A dip is fitted by P(tau) = B (1 - V g), g = e^{-4 ln2 (tau - t0)^2/w^2},
+which is linear in B and D = B V.  The fit projects them out (variable
+projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for a
+given (t0, w), B and D are the closed-form least squares of the 2 x 2
+system over sum g, sum g^2, sum P and sum P g.  The bounds 0 <= V <= 1 cut
+that plane in two rays, and where the free solution lies beyond one of
+them the bounded optimum lies on it: the V = 1 face, B = D =
+sum P (1 - g) / sum (1 - g)^2, where the free solution has V > 1 (a pure
+state's dip at zero mismatch fits there, so its V is exactly 1.0), and the
+V = 0 face, B = mean P, where it has V < 0.  What is left is a search over
+(t0, w) alone, a damped Gauss-Newton with Kaufman's Jacobian (BIT 15, 49
+(1975)): the derivatives of the model by t0 and w less their projection on
+the face's linear columns.  Every quantity of an iteration is a dot product
+over the T delays, and the damped normal equations are 2 x 2, solved in
+Python floats.  No LAPACK call and no matrix-matrix product remains,
+because for a 2 x 2 (or 4 x 4) system numpy's call and dtype checks and a
+threaded BLAS call cost more than the arithmetic.
+
 A brute-force density-matrix oracle (no Schmidt structure) is provided for
 cross-checking.
 """
@@ -80,13 +98,10 @@ from .errors import FitFailureError, InvalidArgumentError, NoDipError
 from .frozen import Frozen
 from .spectral import HeraldedState, frozen_array
 
-# Dip fit: iteration cap, and the largest scaled parameter step (B by |B|,
-# V by 1, t0 and w by w) at which the fit has converged.
+# Dip fit: iteration cap, and the largest step of (t0, w), scaled by w, at
+# which the fit has converged.
 FIT_MAX_ITERATIONS = 200
 FIT_STEP_TOLERANCE = 1e-13
-# Bounds of (B, V, t0, w).
-_FIT_LOWER = np.array([0.0, 0.0, -np.inf, 0.0])
-_FIT_UPPER = np.array([np.inf, 1.0, np.inf, np.inf])
 
 
 class ScanConfig(Frozen):
@@ -298,75 +313,156 @@ def scan(
     return InterferenceScan(taus=taus, probabilities=probs[0])
 
 
-def _dip_residuals(taus, probs, p):
-    """u = (tau - t0)/w, the dip shape g = e^{-4 ln2 u^2} and the residuals
-    B (1 - V g) - P at the parameters p = (B, V, t0, w)."""
-    u = taus - p[2]
-    u /= p[3]
-    g = np.exp(-FOUR_LN2 * u * u)
-    r = g * (-p[0] * p[1])
-    r += p[0] - probs
-    return u, g, r
+def _projected_dip(taus, probs, mean_p, rows, center, width):
+    """The dip at (t0, w) = (center, width) with B and D = B V projected
+    out: u = (tau - t0)/w, g = e^{-4 ln2 u^2}, the least-squares B and D of
+    B - D g under 0 <= D <= B, and its residuals B - D g - P.  ``rows`` is
+    the (2, T) array of ones and P - mean P.
 
-
-def _levenberg_marquardt(taus, probs, p, guess) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded Levenberg-Marquardt on the scaled parameters (Madsen, Nielsen
-    & Tingleff, *Methods for non-linear least squares problems*, 2004,
-    alg. 3.16); returns the fitted parameters and their residuals.
-
-    A parameter on a bound whose gradient points outward is held; steps are
-    clipped to the bounds.  Each iteration does its work once: the Gaussian
-    of a trial point gives its residuals and, once the point is accepted,
-    its Jacobian, held as a contiguous (4, T) array of the scaled columns;
-    a rejected step only re-solves the cached 4 x 4 normal equations with
-    the larger damping.  The damping starts at tau = 1e-6 times the largest
-    diagonal entry of J^T J, the value Madsen et al. (sec. 3.2) recommend
-    when the start is close to the optimum, as ``_initial_guess`` is.
+    Inside the bounds D = -sum (P - mean P) g / sum (g - mean g)^2 and
+    B = mean P + D mean g; where that puts D above B (V > 1, or B < 0) the
+    fit takes the V = 1 face, B = D = sum P (1 - g) / sum (1 - g)^2, and
+    where it puts D below 0 the V = 0 face, B = mean P.  A g without
+    spread (the dip outside the window) has no depth to fit and takes the
+    V = 0 face too.
     """
-    u, g, r = _dip_residuals(taus, probs, p)
-    jac = np.empty((4, len(taus)))
+    u = taus - center
+    u /= width
+    g = u * -FOUR_LN2
+    g *= u
+    np.exp(g, out=g)
+    n = len(g)
+    sum_g, num = (rows @ g).tolist()  # sum g, sum (P - mean P) g
+    mean_g = sum_g / n
+    spread = float(g @ g) - sum_g * mean_g  # sum (g - mean g)^2
+    base, depth = mean_p, 0.0
+    if spread > 0.0:
+        depth = -num / spread
+        base = mean_p + depth * mean_g
+        if depth > base:
+            # sum (1 - g)^2 = n (1 - mean g)^2 + spread, positive with the spread.
+            base = depth = (n * mean_p * (1.0 - mean_g) - num) / (
+                n * (1.0 - mean_g) * (1.0 - mean_g) + spread
+            )
+        elif depth < 0.0:
+            base, depth = mean_p, 0.0
+    r = g * -depth
+    r += base
+    r -= probs
+    return u, g, mean_g, spread, base, depth, r
+
+
+def _variable_projection(taus, probs, center, width, guess):
+    """Damped Gauss-Newton over (t0, w) with B and B V projected out
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) and Kaufman's
+    Jacobian (BIT 15, 49 (1975)); returns t0, w, B, B V and the residuals.
+
+    Steps are scaled by w.  With D = B V, the scaled derivatives of
+    B - D g by t0 and w are -k e1 and -k e2, k = 8 ln2 D, e1 = g u and
+    e2 = g u^2.  Kaufman's Jacobian is their part orthogonal to the face's
+    linear columns: {1, g} inside the bounds, {1 - g} on the V = 1 face,
+    none on the V = 0 face, where the model does not depend on (t0, w) and
+    the fit stops.  J^T J is the Gram matrix of e1 and e2 less its
+    projection on those columns, and the gradient J^T r is e.r less the
+    same projection.  The residuals are orthogonal to the columns already,
+    but only to the rounding of B and D: on sinc-flattop-threshold's wide,
+    shallow dip that rounding alone, left in the gradient, moved the fitted
+    width by 1.2e-13 of itself between BLAS kernel sets.  All of it comes from three
+    (4, T) matrix-vector products, and the 2 x 2 damped system is solved in
+    Python floats.  The damping and its updates are
+    Madsen, Nielsen & Tingleff's (*Methods for non-linear least squares
+    problems*, 2004, alg. 3.16), started at 1e-6 of the largest diagonal
+    entry of J^T J (their sec. 3.2, for a start as close as
+    ``_initial_guess``'s).  A trial point whose w is not positive or whose
+    Gaussian, residuals or gain is not finite is a rejected step.
+    """
+    n = len(taus)
+    mean_p = float(np.add.reduce(probs)) / n
+    rows = np.empty((2, n))
+    rows[0] = 1.0
+    np.subtract(probs, mean_p, out=rows[1])
+    # Rows 1, g, e1 = g u and e2 = g u^2 of the current point.
+    m = np.empty((4, n))
+    m[0] = 1.0
+    u, g, mean_g, spread, base, depth, r = _projected_dip(
+        taus, probs, mean_p, rows, center, width
+    )
     mu, nu = None, 2.0
     linearised = False
     for _ in range(FIT_MAX_ITERATIONS):
         if not linearised:
-            baseline, visibility, _, width = p
-            scale = np.array([abs(baseline), 1.0, width, width])
-            # Rows: the derivatives of B (1 - V g) by B, V, t0 and w, times scale.
-            np.multiply(g, -visibility, out=jac[0])
-            jac[0] += 1.0
-            jac[0] *= abs(baseline)
-            np.multiply(g, -baseline, out=jac[1])
-            np.multiply(u, 2.0 * FOUR_LN2 * visibility, out=jac[2])
-            jac[2] *= jac[1]
-            np.multiply(jac[2], u, out=jac[3])
-            grad = jac @ r
-            gram = jac @ jac.T
-            free = ~(((p <= _FIT_LOWER) & (grad > 0)) | ((p >= _FIT_UPPER) & (grad < 0)))
-            normal = gram[free][:, free]
+            if depth == 0.0:
+                return center, width, base, depth, r
+            m[1] = g
+            np.multiply(g, u, out=m[2])
+            np.multiply(m[2], u, out=m[3])
+            sum_r, g_r, r1, r2 = (m @ r).tolist()
+            s1, g1, h11, h12 = (m @ m[2]).tolist()
+            s2, g2, _, h22 = (m @ m[3]).tolist()
+            if depth < base:  # less the projection on 1 and on g - mean g
+                axes = (
+                    (sum_r, s1, s2, n),
+                    (g_r - mean_g * sum_r, g1 - mean_g * s1, g2 - mean_g * s2, spread),
+                )
+            else:  # less the projection on 1 - g
+                ones = n * (1.0 - mean_g) * (1.0 - mean_g) + spread
+                axes = ((sum_r - g_r, s1 - g1, s2 - g2, ones),)
+            for xr, x1, x2, norm in axes:
+                r1 -= xr * x1 / norm
+                r2 -= xr * x2 / norm
+                h11 -= x1 * x1 / norm
+                h12 -= x1 * x2 / norm
+                h22 -= x2 * x2 / norm
+            k = 2.0 * FOUR_LN2 * depth
+            grad1, grad2 = -k * r1, -k * r2
+            h11, h12, h22 = k * k * h11, k * k * h12, k * k * h22
+            if not max(h11, h22) > 0.0:
+                # The model does not move with (t0, w) to first order, as
+                # when the dip is narrower than the sample spacing.
+                return center, width, base, depth, r
             if mu is None:
-                mu = 1e-6 * np.max(np.diag(gram))
+                mu = 1e-6 * max(h11, h22)
             linearised = True
-        step = np.zeros(4)
-        step[free] = np.linalg.solve(normal + mu * np.eye(len(normal)), -grad[free])
-        trial = np.clip(p + step * scale, _FIT_LOWER, _FIT_UPPER)
-        step = (trial - p) / scale
-        if np.max(np.abs(step)) <= FIT_STEP_TOLERANCE:
-            return p, r
-        u_trial, g_trial, r_trial = _dip_residuals(taus, probs, trial)
-        predicted = -grad @ step - 0.5 * step @ gram @ step
-        # The gain (r - r_t).(r + r_t)/2 = -d_r.(r + d_r/2), with d_r = r_t - r
-        # taken from the step itself (g_t - g through expm1).  Subtracting the
-        # two rounded costs, or the two rounded residuals, loses a small gain
-        # to rounding and stalls the fit short of the optimum.
-        d_b, d_v, d_t0, d_w = trial - p
-        d_u = (d_t0 + u * d_w) / -trial[3]
-        d_g = g * np.expm1(-FOUR_LN2 * d_u * (2.0 * u + d_u))
-        d_r = d_b - trial[0] * trial[1] * d_g - (d_b * trial[1] + p[0] * d_v) * g
-        gained = -(d_r @ (r + 0.5 * d_r))
-        if predicted > 0 and gained > 0:
-            p, r, u, g = trial, r_trial, u_trial, g_trial
+        # (J^T J + mu I) step = -grad, divided by its largest entry first: the
+        # entries of a dip narrower than the sample spacing can be so small
+        # that the determinant itself underflows.
+        scale = max(h11, h22) + mu
+        a11, a12, a22 = (h11 + mu) / scale, h12 / scale, (h22 + mu) / scale
+        b1, b2 = grad1 / scale, grad2 / scale
+        det = a11 * a22 - a12 * a12
+        step1 = (a12 * b2 - a22 * b1) / det
+        step2 = (a12 * b1 - a11 * b2) / det
+        if max(abs(step1), abs(step2)) <= FIT_STEP_TOLERANCE:
+            return center, width, base, depth, r
+        predicted = -(grad1 * step1 + grad2 * step2) - 0.5 * (
+            h11 * step1 * step1 + 2.0 * h12 * step1 * step2 + h22 * step2 * step2
+        )
+        center_t, width_t = center + step1 * width, width + step2 * width
+        gained = -math.inf
+        if width_t > 0.0:
+            u_t, g_t, mean_g_t, spread_t, base_t, depth_t, r_t = _projected_dip(
+                taus, probs, mean_p, rows, center_t, width_t
+            )
+            # The gain (r - r_t).(r + r_t)/2 = -d_r.r - d_r.d_r/2, with
+            # d_r = r_t - r taken from the step itself (g_t - g through
+            # expm1).  Subtracting the two rounded costs, or the two rounded
+            # residuals, loses a small gain to rounding and stalls the fit
+            # short of the optimum.
+            d_r = u * (FOUR_LN2 * (width_t - width) / width_t)
+            d_r += FOUR_LN2 * (center_t - center) / width_t  # -4 ln2 (u_t - u)
+            d_r *= u + u_t  # ln(g_t / g)
+            np.expm1(d_r, out=d_r)
+            d_r *= -depth_t
+            d_r -= depth_t - depth
+            d_r *= g
+            d_r += base_t - base
+            gained = -(float(d_r @ r) + 0.5 * float(d_r @ d_r))
+        if predicted > 0 and 0.0 < gained < math.inf:
+            center, width, u, g, r = center_t, width_t, u_t, g_t, r_t
+            mean_g, spread, base, depth = mean_g_t, spread_t, base_t, depth_t
             linearised = False
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gained / predicted - 1.0) ** 3)
+            ratio = 2.0 * gained / predicted - 1.0
+            mu *= max(1.0 / 3.0, 1.0 - ratio * ratio * ratio)
             nu = 2.0
         else:
             mu *= nu
@@ -411,29 +507,36 @@ def fit_dip(scan_result: InterferenceScan) -> DipMetrics:
     """Least-squares Gaussian dip fit P(tau) = B (1 - V e^{-4 ln2 (tau-t0)^2/w^2}).
 
     Initialization: baseline from the outer 10% of samples, visibility from
-    the sample minimum, width from the half-depth crossings.  The fit is a
-    bounded Levenberg-Marquardt with the analytic Jacobian (B >= 0,
-    0 <= V <= 1, w >= 0) that does each iteration's work once: one Gaussian
-    per trial point, reused for the Jacobian once the point is accepted, and
-    only a re-solve of the cached 4 x 4 normal equations after a rejected
-    step.  Its damping starts at tau = 1e-6 of the largest diagonal entry of
-    J^T J (Madsen, Nielsen & Tingleff 2004, sec. 3.2, for a start close to
-    the optimum).  It stops when no scaled parameter step exceeds
-    ``FIT_STEP_TOLERANCE``; ``fit_residual`` is the RMS of the residuals at
-    the fitted point.  Raises :class:`NoDipError` when the scan is flat
-    (V < 0.001) and :class:`FitFailureError` (carrying the initial guess)
-    when ``FIT_MAX_ITERATIONS`` pass without convergence.
+    the sample minimum, centre and width from the half-depth crossings; only
+    the centre and the width are carried into the fit.  The model is linear
+    in B and B V, so the fit is a variable projection (Golub & Pereyra
+    1973): at each (t0, w) the closed-form least squares over sum g,
+    sum g^2, sum P and sum P g gives B and B V, on the V = 1 face
+    (B = sum P (1 - g) / sum (1 - g)^2) where that would make V > 1 and on
+    the V = 0 face where it would make V < 0, and a damped Gauss-Newton
+    search with Kaufman's Jacobian (1975) moves (t0, w) alone.  Each
+    iteration is one Gaussian, a dozen dot products and a 2 x 2 solve in
+    Python floats: no LAPACK call and no matrix-matrix product is left for
+    numpy's per-call overhead to dominate.  Its damping starts at 1e-6 of the
+    largest diagonal entry of J^T J (Madsen, Nielsen & Tingleff 2004, sec.
+    3.2, for a start close to the optimum).  It stops when neither step of
+    (t0, w), scaled by w, exceeds ``FIT_STEP_TOLERANCE``; ``fit_residual``
+    is the RMS of the residuals at the fitted point.  A trial point that
+    overflows is a rejected step, and no floating-point warning escapes.
+    Raises :class:`NoDipError` when the scan is flat (V < 0.001) and
+    :class:`FitFailureError` (carrying the initial guess) when
+    ``FIT_MAX_ITERATIONS`` pass without convergence.
     """
     taus = scan_result.taus
     probs = scan_result.probabilities
     guess = _initial_guess(taus, probs)
     if guess[1] < 1e-3:
         raise NoDipError(f"no dip found (initial visibility {guess[1]:.2e})")
-    p0 = np.array(
-        [max(guess[0], 1e-12), min(max(guess[1], 0.0), 1.0), guess[2], max(guess[3], 1e-9)]
-    )
-    params, r = _levenberg_marquardt(taus, probs, p0, guess)
-    baseline, visibility, center, width = (float(v) for v in params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, width, baseline, depth, r = _variable_projection(
+            taus, probs, guess[2], max(float(guess[3]), 1e-9), guess
+        )
+    visibility = depth / baseline
     residual = math.sqrt(r @ r / len(r))
     raw_visibility = float(1.0 - probs.min() / baseline)
     return DipMetrics(

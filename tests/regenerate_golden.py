@@ -82,8 +82,8 @@ BOUNDS = {
     "tau_fs": (0.0, "the scan's delays, an elementwise linspace; measured bit-identical"),
     "visibility": (
         1e-14,
-        "fitted by Levenberg-Marquardt from scan probabilities that follow the "
-        "BLAS kernel set; the largest difference measured was 6.7e-16 (Sandybridge)",
+        "fitted by variable projection from scan probabilities that follow the "
+        "BLAS kernel set; the largest difference measured was 1.1e-15 (Prescott)",
     ),
     "raw_visibility": (
         1e-14,
@@ -92,24 +92,25 @@ BOUNDS = {
     ),
     "baseline": (
         1e-14,
-        "the fitted baseline, near 0.5; measured bit-identical, and the bound "
-        "is that of the visibility fitted with it",
+        "the fitted baseline, near 0.5; the largest difference measured was "
+        "1.7e-16, and the bound is that of the visibility fitted with it",
     ),
     "fwhm_ps": (
         1e-14,
-        "the fitted width, up to 1.3 ps; the largest difference measured was "
-        "4.4e-16 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+        "the fitted width, up to 4.3 ps; the largest difference measured was "
+        "8.0e-15 (Haswell), on sinc-flattop-threshold's shallow 4.3 ps dip in a "
+        "+-5 ps window, whose optimum moves with the scan's last digits",
     ),
     "fit_residual": (
         1e-16,
-        "RMS of the fit's residuals, up to 2.5e-5; the largest difference "
-        "measured was 5.5e-18 (Prescott)",
+        "RMS of the fit's residuals, up to 4.1e-5; the largest difference "
+        "measured was 7.0e-18 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
     ),
     "center_fs": (
         1e-10,
         "the fitted dip centre, a zero at rounding level (|value| <= 9.2e-13 "
         "fs) whose digits are noise, so only an absolute bound fits; the "
-        "largest difference measured was 1.7e-13 fs (Prescott, one thread, "
+        "largest difference measured was 3.4e-13 fs (Prescott, one thread, "
         "NPY_DISABLE_CPU_FEATURES), and the bound is 1/500000 of the 50 fs "
         "scan step",
     ),
@@ -136,11 +137,11 @@ BOUNDS = {
     "visibility_mixed": (
         1e-14,
         "as visibility, one fit per curve offset; the largest difference "
-        "measured was 4.4e-16 (Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
+        "measured was 1.1e-15 (Prescott)",
     ),
     "visibility_pure": (
         1e-14,
-        "as visibility; the largest difference measured was 3.3e-16 "
+        "as visibility; the largest difference measured was 7.8e-16 "
         "(NPY_DISABLE_CPU_FEATURES)",
     ),
     "fwhm_ps_mixed": (
@@ -150,8 +151,8 @@ BOUNDS = {
     ),
     "fwhm_ps_pure": (
         1e-14,
-        "as fwhm_ps; the largest difference measured was 4.4e-16 "
-        "(NPY_DISABLE_CPU_FEATURES)",
+        "as fwhm_ps; the largest difference measured was 6.7e-16 "
+        "(Prescott, one thread, NPY_DISABLE_CPU_FEATURES)",
     ),
     "row_marginal": (
         0.01,

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from homsim.hom import (
     scan,
     visibility_curve,
 )
-from homsim.scenario import load_preset
+from homsim.scenario import load_preset, scenario_from_dict
 from homsim.schmidt import (
     HeraldedState,
     herald,
@@ -428,25 +430,31 @@ def dip_jacobian(tau, baseline, visibility, center, width):
     return np.column_stack([1.0 - visibility * g, -baseline * g, d_center, d_center * x / width])
 
 
+# Bounds of the oracle's (B, V, t0, w).
+ORACLE_LOWER = np.array([0.0, 0.0, -np.inf, 0.0])
+ORACLE_UPPER = np.array([np.inf, 1.0, np.inf, np.inf])
+
+
 def levenberg_marquardt_oracle(taus, probs, p) -> np.ndarray:
     """Oracle: the straightforward bounded Levenberg-Marquardt (Madsen,
-    Nielsen & Tingleff 2004, alg. 3.16) that ``hom._levenberg_marquardt``
-    streamlines.  It rebuilds the T x 4 Jacobian and the normal equations on
-    every iteration, evaluates the Gaussian twice per accepted point and
-    starts the damping at 1e-3 of the largest diagonal entry of J^T J."""
+    Nielsen & Tingleff 2004, alg. 3.16) over all four parameters, which
+    ``hom.fit_dip``'s variable projection replaces.  It rebuilds the T x 4
+    Jacobian and the normal equations on every iteration, evaluates the
+    Gaussian twice per accepted point and starts the damping at 1e-3 of the
+    largest diagonal entry of J^T J."""
     r = dip_model(taus, *p) - probs
     mu, nu = None, 2.0
     for _ in range(hom.FIT_MAX_ITERATIONS):
         scale = np.array([abs(p[0]), 1.0, p[3], p[3]])
         jac = dip_jacobian(taus, *p) * scale
         grad = jac.T @ r
-        free = ~(((p <= hom._FIT_LOWER) & (grad > 0)) | ((p >= hom._FIT_UPPER) & (grad < 0)))
+        free = ~(((p <= ORACLE_LOWER) & (grad > 0)) | ((p >= ORACLE_UPPER) & (grad < 0)))
         normal = jac[:, free].T @ jac[:, free]
         if mu is None:
             mu = 1e-3 * np.max(np.sum(jac**2, axis=0))
         step = np.zeros(4)
         step[free] = np.linalg.solve(normal + mu * np.eye(len(normal)), -grad[free])
-        trial = np.clip(p + step * scale, hom._FIT_LOWER, hom._FIT_UPPER)
+        trial = np.clip(p + step * scale, ORACLE_LOWER, ORACLE_UPPER)
         step = (trial - p) / scale
         if np.max(np.abs(step)) <= hom.FIT_STEP_TOLERANCE:
             return p
@@ -464,7 +472,8 @@ def levenberg_marquardt_oracle(taus, probs, p) -> np.ndarray:
 
 
 def start_point(result) -> np.ndarray:
-    """``fit_dip``'s starting point: the initial guess, moved inside the bounds."""
+    """The oracle's starting point: ``fit_dip``'s initial guess, moved inside
+    the oracle's bounds."""
     b, v, t0, w = hom._initial_guess(result.taus, result.probabilities)
     return np.array([max(b, 1e-12), min(max(v, 0.0), 1.0), t0, max(w, 1e-9)])
 
@@ -530,6 +539,38 @@ def test_fit_failure_carries_initial_guess(pipeline_state, monkeypatch):
     with pytest.raises(FitFailureError) as info:
         fit_dip(result)
     assert info.value.initial_guess == hom._initial_guess(result.taus, result.probabilities)
+
+
+# A grid too coarse for its window: a 32-point sinc source behind 8 nm and
+# 12 nm flat-tops at zero mismatch.  Far trial steps of its fit overflow
+# expm1 in the gain where the Gaussian underflows.
+COARSE_SINC = {
+    "name": "coarse-sinc",
+    "mode": "two-photon-scan",
+    "source": {
+        "phase_matching": {"model": "sinc"},
+        "grid": {"n_points": 32, "span_factor": 4.0},
+    },
+    "filters": {
+        "signal": {"fwhm_nm": 8.0, "shape": "flattop"},
+        "idler": {"fwhm_nm": 12.0, "shape": "flattop"},
+    },
+}
+
+
+def test_fit_of_a_coarse_grid_leaks_no_runtime_warning(tmp_path):
+    """A trial point whose Gaussian, residuals or gain is not finite is a
+    rejected step: the run ends in a fit or in the fit's own errors, and
+    numpy warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            runner.run(scenario_from_dict(COARSE_SINC), tmp_path)
+        except (FitFailureError, NoDipError):
+            return
+    metrics = json.loads((tmp_path / "coarse-sinc_metrics.json").read_text(encoding="utf-8"))
+    assert 0.0 <= metrics["visibility"] <= 1.0
+    assert metrics["fwhm_ps"] > 0.0
 
 
 def _preset_scans(name):
